@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -83,31 +82,7 @@ def payload_airtime_us(size_bytes: int, rate_mbps: float) -> float:
     return size_bytes * 8.0 / rate_mbps
 
 
-@dataclass(frozen=True)
-class Frame:
-    station_id: str
-    channel: int
-    size_bytes: int
-    rate_mbps: float
-    kind: str
-    dest: str = ""
-    flow: str = ""
-
-    def __post_init__(self) -> None:
-        if self.channel not in VALID_CHANNELS:
-            raise ConfigError(f"channel must be one of {VALID_CHANNELS}")
-        if self.kind not in FRAME_KINDS:
-            raise ConfigError(f"unknown frame kind {self.kind!r}")
-        if self.kind in ("client_data", "neighbor_data") and self.size_bytes > 1500:
-            raise ConfigError("data frames are limited to 1500 bytes")
-        payload_airtime_us(self.size_bytes, self.rate_mbps)
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.kind in BROADCAST_KINDS
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FrameRecord:
     t_start_us: float
     channel: int
@@ -203,7 +178,16 @@ class FlowSpec:
             raise ConfigError(f"flow {self.name!r}: burst needs frames and period")
         if self.gate_threshold is not None and self.gate_threshold < 1:
             raise ConfigError(f"flow {self.name!r}: gate threshold must be >= 1")
+        if self.kind in ("client_data", "neighbor_data") and self.size_bytes > 1500:
+            raise ConfigError(f"flow {self.name!r}: data frames are limited to 1500 bytes")
         payload_airtime_us(self.size_bytes, self.rate_mbps)
+
+
+def gate_admits(queue_depth: int, gate_threshold: Optional[int]) -> bool:
+    """The queue gate: admit a frame while the station's pending queue
+    depth is below the threshold (depth 5 against threshold 5 drops);
+    a flow without a threshold is never gated."""
+    return gate_threshold is None or queue_depth < gate_threshold
 
 
 def cbr_flow_for_target(
@@ -260,76 +244,94 @@ def station_seed(master_seed: int, station_id: str) -> int:
 
 
 class _FlowRt:
+    """Live counters of one flow plus the per-frame constants of its spec."""
+
     __slots__ = (
-        "spec",
-        "queue_times",
+        "name",
+        "kind",
+        "size_bytes",
+        "rate_mbps",
+        "broadcast",
+        "payload_us",
+        "busy_delivered_us",
+        "busy_collided_us",
+        "gate",
+        "backlogged",
+        "start_us",
+        "step_us",
+        "per_step",
         "emitted",
+        "next_arrival",
+        "queued",
         "admitted",
         "dropped_gate",
         "delivered",
         "lost",
-        "next_arrival",
-        "arrivals_per_step",
-        "payload_us",
     )
 
-    def __init__(self, spec: FlowSpec):
-        self.spec = spec
-        self.queue_times: deque[float] = deque()
+    def __init__(self, spec: FlowSpec, params: MacParams):
+        self.name = spec.name
+        self.kind = spec.kind
+        self.size_bytes = spec.size_bytes
+        self.rate_mbps = spec.rate_mbps
+        self.broadcast = spec.kind in BROADCAST_KINDS
+        self.payload_us = payload_airtime_us(spec.size_bytes, spec.rate_mbps)
+        self.busy_collided_us = params.phy_overhead_us + self.payload_us
+        self.busy_delivered_us = self.busy_collided_us
+        if not self.broadcast:  # a delivered unicast also holds SIFS + ACK
+            self.busy_delivered_us += params.sifs_us + params.ack_airtime_us
+        self.gate = spec.gate_threshold
+        self.backlogged = spec.pacing == "backlogged"
+        # arrival k of a timed source is at start_us + k * step_us
+        self.start_us = spec.start_us
+        if spec.pacing == "burst":
+            self.step_us = spec.period_us
+        elif spec.pacing == "beacon":
+            self.step_us = BEACON_INTERVAL_US
+        else:
+            self.step_us = spec.interval_us
+        self.per_step = spec.frames_per_burst if spec.pacing == "burst" else 1
         self.emitted = 0
+        self.next_arrival = math.inf if self.backlogged else spec.start_us
+        self.queued = 0
         self.admitted = 0
         self.dropped_gate = 0
         self.delivered = 0
         self.lost = 0
-        self.payload_us = payload_airtime_us(spec.size_bytes, spec.rate_mbps)
-        if spec.pacing == "backlogged":
-            self.next_arrival = math.inf
-        elif spec.pacing == "burst":
-            self.next_arrival = spec.start_us
-            self.arrivals_per_step = spec.frames_per_burst
-        elif spec.pacing == "beacon":
-            self.next_arrival = spec.start_us
-            self.arrivals_per_step = 1
-        else:
-            self.next_arrival = spec.start_us
-            self.arrivals_per_step = 1
 
-    def advance_arrival(self) -> None:
-        s = self.spec
-        if s.pacing in ("cbr", "paced"):
-            self.emitted += 1
-            self.next_arrival = s.start_us + self.emitted * s.interval_us
-        elif s.pacing == "burst":
-            self.emitted += 1
-            self.next_arrival = s.start_us + self.emitted * s.period_us
-        elif s.pacing == "beacon":
-            self.emitted += 1
-            self.next_arrival = s.start_us + self.emitted * BEACON_INTERVAL_US
+    def drop_through(self, up_to: float) -> None:
+        """Drop every arrival at or before `up_to` at once.
 
-    def queue_len(self) -> int:
-        return len(self.queue_times)
-
-    def has_frame(self) -> bool:
-        return self.spec.pacing == "backlogged" or bool(self.queue_times)
+        The count comes from floor division, corrected against the
+        exact `start + k * step` expression that times each arrival.
+        """
+        last = int((up_to - self.start_us) // self.step_us)
+        while self.start_us + (last + 1) * self.step_us <= up_to:
+            last += 1
+        while self.start_us + last * self.step_us > up_to:
+            last -= 1
+        self.dropped_gate += (last + 1 - self.emitted) * self.per_step
+        self.emitted = last + 1
 
 
 class _StationRt:
     __slots__ = (
-        "spec",
+        "station_id",
         "flows",
+        "backlogged",
         "rng",
         "rr",
-        "current",
-        "current_flow",
+        "head",
         "ready_since",
         "backoff_slots",
         "cw",
         "retries",
         "queued",
+        "next_t",
     )
 
     def __init__(self, spec: StationSpec, master_seed: int, params: MacParams):
-        self.spec = spec
+        self.station_id = spec.station_id
         flows = list(spec.flows)
         if spec.is_ap:
             flows.append(
@@ -341,79 +343,82 @@ class _StationRt:
                     rate_mbps=BEACON_RATE_MBPS,
                 )
             )
-        self.flows = [_FlowRt(f) for f in flows]
+        self.flows = [_FlowRt(f, params) for f in flows]
+        self.backlogged = any(fl.backlogged for fl in self.flows)
         self.rng = random.Random(station_seed(master_seed, spec.station_id))
         self.rr = 0
-        self.current: Optional[Frame] = None
-        self.current_flow: Optional[_FlowRt] = None
+        self.head: Optional[_FlowRt] = None  # flow of the frame in service
         self.ready_since = 0.0
         self.backoff_slots: Optional[int] = None
         self.cw = params.cw_min
         self.retries = 0
         self.queued = 0  # admitted frames waiting (excludes the head in service)
+        self.next_t = min((fl.next_arrival for fl in self.flows), default=math.inf)
 
     def pull_arrivals(self, up_to: float) -> None:
         """Emit every arrival at or before `up_to`, in time order.
 
         The admission gate sees the station's live total queue depth at
         each arrival instant, so interleaved flows interact correctly.
+        Nothing leaves the queue during a pull, so the depth only grows:
+        once a flow's gate is shut, all its arrivals up to `up_to` drop.
         """
+        flows = self.flows
         while True:
-            best: Optional[_FlowRt] = None
-            best_t = math.inf
-            for fl in self.flows:
-                if fl.next_arrival <= up_to and fl.next_arrival < best_t:
+            best = flows[0]
+            for fl in flows:
+                if fl.next_arrival < best.next_arrival:
                     best = fl
-                    best_t = fl.next_arrival
-            if best is None:
+            if best.next_arrival > up_to:
+                self.next_t = best.next_arrival
                 return
-            n = best.arrivals_per_step if best.spec.pacing == "burst" else 1
-            for _ in range(n):
-                gate = best.spec.gate_threshold
-                if gate is not None and self.queued >= gate:
-                    best.dropped_gate += 1
-                else:
-                    best.queue_times.append(best_t)
-                    best.admitted += 1
-                    self.queued += 1
-            best.advance_arrival()
+            if gate_admits(self.queued, best.gate):
+                for _ in range(best.per_step):
+                    if gate_admits(self.queued, best.gate):
+                        best.queued += 1
+                        best.admitted += 1
+                        self.queued += 1
+                    else:
+                        best.dropped_gate += 1
+                best.emitted += 1
+            else:
+                best.drop_through(up_to)
+            best.next_arrival = best.start_us + best.emitted * best.step_us
 
-    def next_arrival_time(self) -> float:
-        return min((fl.next_arrival for fl in self.flows), default=math.inf)
+    def take_head(self, t: float) -> None:
+        """Select the next frame to transmit, round-robin across flows.
 
-    def ensure_head(self, t: float) -> bool:
-        """Select the next frame to transmit, round-robin across flows."""
-        if self.current is not None:
-            return True
-        n = len(self.flows)
+        Every queued frame arrived at or before `t` (arrivals are pulled
+        up to `t` first), so the frame is ready from `t` on.
+        """
+        flows = self.flows
+        n = len(flows)
         for k in range(n):
-            fl = self.flows[(self.rr + k) % n]
-            if fl.has_frame():
-                self.rr = (self.rr + k + 1) % n
-                s = fl.spec
-                if fl.queue_times:
-                    arrival = fl.queue_times.popleft()
+            i = (self.rr + k) % n
+            fl = flows[i]
+            if fl.queued or fl.backlogged:
+                self.rr = (i + 1) % n
+                if fl.queued:
+                    fl.queued -= 1
                     self.queued -= 1
-                else:  # backlogged source
-                    arrival = -math.inf
-                self.current = Frame(
-                    station_id=self.spec.station_id,
-                    channel=self.spec.channel,
-                    size_bytes=s.size_bytes,
-                    rate_mbps=s.rate_mbps,
-                    kind=s.kind,
-                    dest=s.dest,
-                    flow=s.name,
-                )
-                self.current_flow = fl
-                self.ready_since = max(t, arrival)
+                self.head = fl
+                self.ready_since = t
                 self.retries = 0
-                return True
-        return False
+                return
 
-    def ensure_backoff(self) -> None:
-        if self.backoff_slots is None:
-            self.backoff_slots = self.rng.randrange(self.cw + 1)
+
+def _ready_at(stations: list[_StationRt], t: float) -> list[_StationRt]:
+    """Pull the arrivals due by `t`, then list the stations with a frame
+    to send at `t`, in station order."""
+    ready = []
+    for st in stations:
+        if st.next_t <= t:
+            st.pull_arrivals(t)
+        if st.head is None and (st.queued or st.backlogged):
+            st.take_head(t)
+        if st.head is not None:
+            ready.append(st)
+    return ready
 
 
 def run_mac(
@@ -461,14 +466,11 @@ def _run_channel(
     last_broadcast = False
 
     while t < duration_us:
-        for st in stations:
-            st.pull_arrivals(t)
-        ready = [st for st in stations if st.ensure_head(t)]
+        ready = _ready_at(stations, t)
         if not ready:
-            t_next = min(st.next_arrival_time() for st in stations)
-            if t_next >= duration_us or t_next == math.inf:
+            t = min(st.next_t for st in stations)
+            if t >= duration_us:
                 break
-            t = t_next
             continue
 
         # Broadcast burst continuation: queued broadcasts drain back to
@@ -477,8 +479,7 @@ def _run_channel(
             len(ready) == 1
             and ready[0] is last_station
             and last_broadcast
-            and ready[0].current is not None
-            and ready[0].current.is_broadcast
+            and ready[0].head.broadcast
             and t == last_end
         ):
             winners = ready
@@ -487,105 +488,82 @@ def _run_channel(
             # Contention round. Latecomers whose frames arrive before
             # the earliest expiry join with their own DIFS+backoff.
             while True:
-                for st in ready:
-                    st.ensure_backoff()
                 t_win = math.inf
                 for st in ready:
-                    e = max(t, st.ready_since) + difs + st.backoff_slots * slot
+                    if st.backoff_slots is None:
+                        st.backoff_slots = st.rng.randrange(st.cw + 1)
+                    origin = t if t >= st.ready_since else st.ready_since
+                    e = origin + difs + st.backoff_slots * slot
                     if e < t_win:
                         t_win = e
                 t_arr = math.inf
                 for st in stations:
-                    if st.current is None:
-                        a = st.next_arrival_time()
-                        if a < t_arr:
-                            t_arr = a
+                    if st.head is None and st.next_t < t_arr:
+                        t_arr = st.next_t
                 if t_arr < t_win and t_arr < duration_us:
-                    for st in stations:
-                        st.pull_arrivals(t_arr)
-                    ready = [st for st in stations if st.ensure_head(t_arr)]
+                    ready = _ready_at(stations, t_arr)
                     continue
                 break
             if t_win >= duration_us:
                 break
             winners = []
             for st in ready:
-                e = max(t, st.ready_since) + difs + st.backoff_slots * slot
-                if e == t_win:
+                origin = t if t >= st.ready_since else st.ready_since
+                if origin + difs + st.backoff_slots * slot == t_win:
                     winners.append(st)
-            # Losers freeze whatever whole slots they have not used.
-            for st in ready:
-                if st in winners:
-                    continue
-                origin = max(t, st.ready_since)
-                consumed = int((t_win - origin - difs) / slot)
-                if consumed < 0:
-                    consumed = 0
-                st.backoff_slots = max(0, st.backoff_slots - consumed)
+                else:
+                    # Losers freeze whatever whole slots they have not used.
+                    consumed = int((t_win - origin - difs) / slot)
+                    if consumed > 0:
+                        st.backoff_slots = max(0, st.backoff_slots - consumed)
             t_start = t_win
 
         collision = len(winners) > 1
+        outcome = "collided" if collision else "delivered"
         busy_end = t_start
         for st in winners:
-            frame = st.current
-            assert frame is not None and st.current_flow is not None
-            payload = st.current_flow.payload_us
-            busy = params.phy_overhead_us + payload
-            delivered = not collision
-            if delivered and not frame.is_broadcast:
-                busy += params.sifs_us + params.ack_airtime_us
+            fl = st.head
+            busy = fl.busy_collided_us if collision else fl.busy_delivered_us
             records.append(
                 FrameRecord(
-                    t_start_us=t_start,
-                    channel=channel,
-                    station_id=frame.station_id,
-                    kind=frame.kind,
-                    size_bytes=frame.size_bytes,
-                    rate_mbps=frame.rate_mbps,
-                    outcome="delivered" if delivered else "collided",
-                    payload_airtime_us=payload,
-                    busy_time_us=busy,
-                    flow=frame.flow,
+                    t_start, channel, st.station_id, fl.kind, fl.size_bytes,
+                    fl.rate_mbps, outcome, fl.payload_us, busy, fl.name,
                 )
             )
-            busy_end = max(busy_end, t_start + busy)
+            if t_start + busy > busy_end:
+                busy_end = t_start + busy
             st.backoff_slots = None
-            if delivered:
-                st.current_flow.delivered += 1
-                st.current = None
-                st.current_flow = None
+            if not collision:
+                fl.delivered += 1
+                st.head = None
                 st.cw = params.cw_min
                 st.retries = 0
-            elif frame.is_broadcast:
-                st.current_flow.lost += 1
-                st.current = None
-                st.current_flow = None
+            elif fl.broadcast:
+                fl.lost += 1
+                st.head = None
             else:
                 st.retries += 1
                 if st.retries > params.retry_limit:
-                    st.current_flow.lost += 1
-                    st.current = None
-                    st.current_flow = None
+                    fl.lost += 1
+                    st.head = None
                     st.cw = params.cw_min
                     st.retries = 0
                 else:
                     st.cw = min(2 * st.cw + 1, params.cw_max)
 
-        t = busy_end
-        last_end = busy_end
-        last_station = winners[0] if len(winners) == 1 else None
-        last_broadcast = (not collision) and records[-1].kind in BROADCAST_KINDS
+        t = last_end = busy_end
+        last_station = None if collision else winners[0]
+        last_broadcast = not collision and fl.broadcast
 
     for st in stations:
         for fl in st.flows:
-            trace.flow_stats[fl.spec.name] = FlowStats(
+            trace.flow_stats[fl.name] = FlowStats(
                 admitted=fl.admitted,
                 dropped_gate=fl.dropped_gate,
                 delivered=fl.delivered,
                 lost=fl.lost,
             )
     return trace
-
 
 # ---------------------------------------------------------------------------
 # Trace export / import

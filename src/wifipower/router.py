@@ -50,6 +50,11 @@ class PowerPolicy:
             raise ConfigError("queue threshold must be >= 1 frame")
         mac.payload_airtime_us(self.packet_size_bytes, self.rate_mbps)
 
+    @property
+    def gate_threshold(self) -> Optional[int]:
+        """Queue depth at which power packets drop; None when ungated."""
+        return self.queue_threshold if self.gate_enabled else None
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -73,7 +78,7 @@ def power_gate(queue_depth: int, policy: PowerPolicy) -> bool:
     """
     if queue_depth < 0:
         raise ConfigError("queue depth cannot be negative")
-    return (not policy.gate_enabled) or queue_depth < policy.queue_threshold
+    return mac.gate_admits(queue_depth, policy.gate_threshold)
 
 
 def next_power_packet_time(t_last_emit_us: float, policy: PowerPolicy) -> float:
@@ -120,7 +125,7 @@ def power_flow_spec(station_id: str, policy: PowerPolicy) -> mac.FlowSpec:
         size_bytes=policy.packet_size_bytes,
         rate_mbps=policy.rate_mbps,
         interval_us=policy.inter_packet_delay_us,
-        gate_threshold=policy.queue_threshold if policy.gate_enabled else None,
+        gate_threshold=policy.gate_threshold,
     )
 
 

@@ -237,6 +237,12 @@ def test_invalid_station_config_rejected():
         mac.run_mac([mac.StationSpec("a", 6, flows=(f,))] * 2, duration_us=1e6)
 
 
+def test_oversized_data_flow_rejected_at_the_spec():
+    with pytest.raises(ConfigError, match="1500 bytes"):
+        mac.FlowSpec(name="f", kind="client_data", pacing="backlogged", size_bytes=1501)
+    mac.FlowSpec(name="p", kind="power_broadcast", pacing="backlogged", size_bytes=2000)
+
+
 def test_beacons_present_for_ap():
     st = mac.StationSpec("ap", 6, flows=(), is_ap=True)
     tr = mac.run_mac([st], duration_us=1e6, seed=2)[6]

@@ -121,3 +121,20 @@ def test_burst_completion_times():
     assert len(comps) == 10
     # a 20-frame burst at 54 Mbps takes on the order of 8 ms alone
     assert all(5.0 < c < 15.0 for c in comps)
+
+
+def test_engine_gates_through_the_same_rule(monkeypatch):
+    # the engine and router.power_gate share mac.gate_admits: with the
+    # rule replaced by one that always admits, the engine drops nothing
+    pol = router.PowerPolicy()
+    neighbor = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged")
+    stations = [
+        mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True),
+        mac.StationSpec("n", 6, flows=(neighbor,)),
+    ]
+    gated = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
+    assert gated.flow_stats["r.power"].dropped_gate > 0
+    monkeypatch.setattr(mac, "gate_admits", lambda depth, threshold: True)
+    assert router.power_gate(10_000, pol) is True
+    open_gate = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
+    assert open_gate.flow_stats["r.power"].dropped_gate == 0
