@@ -555,6 +555,13 @@ def _run_channel(
         last_station = None if collision else winners[0]
         last_broadcast = not collision and fl.broadcast
 
+    # Arrivals after the last event still count as offered. No frame can
+    # leave a queue before the window ends, so the gate sees the final
+    # queue depth.
+    last_instant = math.nextafter(duration_us, -math.inf)
+    for st in stations:
+        if st.next_t <= last_instant:
+            st.pull_arrivals(last_instant)
     for st in stations:
         for fl in st.flows:
             trace.flow_stats[fl.name] = FlowStats(

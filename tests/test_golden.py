@@ -33,14 +33,14 @@ GOLDEN = {
         "occupancy.csv": "154c37e8fef72968398712ecf1c68ba9551786dcea3d71e8e4f78bb26806138d",
         "throughput.csv": "f50533eef36d6b969995b1c637404e837afd55290f8ba5e4757eb5e39bc12a5b",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "e79a66d0e465894dd7c9de5b26740f1eeeca92e92e04b6d454cfd291da0ee514",
+        "summary.txt": "ef0449b5183e8f540ab283240195f120f8dab3abd7f8863a75c90649f1d220ab",
         "trace.txt": "abd0371ee4413245d1716711b3ca3a8321c89a2869edaff262e6ad52adfc7036",
     },
     "camera_throughwall.cfg": {
         "occupancy.csv": "df2df6bde5468692d64b1d68b4e7ac8630348521f31ae60183982385e1c5e65e",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
         "harvester.csv": "5ec0e1d7cd6e52cace72ad7fe9f2af5d5c6511a5bcf27ad1a96fd69bd9df0796",
-        "summary.txt": "1b0ae43ff1a0934c714a5686fef9393a187499701da5f437b01da6393aa928ed",
+        "summary.txt": "1a444d6e6947a9245cb28313b521d031de42af6773b1f221ed339779f77eebd9",
         "trace.txt": "459cb97b70209bb065e7536470f2fa72c01ab15f3e6e8fcd92403699fbf440b8",
     },
     "delay_sweep.cfg": {
@@ -54,49 +54,49 @@ GOLDEN = {
         "occupancy.csv": "d3ae45f5a4e85aefa6df635b797e6b41c1359a0199efa4d27dc91815d2ab4f13",
         "throughput.csv": "a27eff82a02d7d7152247099bb129b03faf8263673d1c1c4d6db24770a197200",
         "harvester.csv": "2e9722aaf5d29b1dd998582ebd667271a72cab8e5e32ba7da73d5c2dde9b9a52",
-        "summary.txt": "811064f98d9b2be3a25dd8720e8b373aa47640f00280a47e7d93d10c02d37d15",
+        "summary.txt": "d502d7be65a5dad4f5d56409eb0d96424d5a7d57e09c7dad7c69f647ce6c8a7d",
         "trace.txt": "63bcaf0188ec622053c148cfd18793240fcaf0398c9605489b56606920c38c6f",
     },
     "home_2.cfg": {
         "occupancy.csv": "19d908c87276217ecb0f23249e2e0b71eed5b938c118180f40d03e74541be8a9",
         "throughput.csv": "5064c1a30a5cf8add6f4b408cc0620ba7a384fc2e5fa9c438ea5e6e7cb6b81a7",
         "harvester.csv": "8f99547a57088141b99f4eb8d140c40791bcfcef3faec0cf1163a737585710e9",
-        "summary.txt": "644266bedafbca0d4195f33ea1611ef1270178539915aa4f72fee52bb9859bc1",
+        "summary.txt": "625df4adf264cf973715598d11594457293952dccb610ff4903eb8fa19c8ed07",
         "trace.txt": "9c612c69d4bc48e4e9f697f128bea1b101c691ce78bc07ac185a3fb378663828",
     },
     "home_3.cfg": {
         "occupancy.csv": "7ab176baa4fb645296c1b64d1fe0f50e59f587bf34476ebbb2838f8008f6b62b",
         "throughput.csv": "c38128899519ae3bb5d0c89502ab76351123c711518f12152bc9050002c06b33",
         "harvester.csv": "702fa2438d5866214355da4c7ab2e566377d855b08070657453d627c239dfab0",
-        "summary.txt": "fbd2fa86ae52fb2000e8cdb7c8e796d67de0726c850df67a916751dc84d8e291",
+        "summary.txt": "03fe0b6983bfdd431a44ac5fd1fd43255d9133de4409f0efacd238dddd4df78a",
         "trace.txt": "59b035bbf28aca21d506015470cc5745e7b0962ca2a4a122bcb539c77719acd1",
     },
     "home_4.cfg": {
         "occupancy.csv": "65673859191568b03f24a8bfe00b1fbdf8107091935730f5180dd66e00ac5ee2",
         "throughput.csv": "d35f3d1667cc7eefae7ab33301f6a2c0e375ee12313c41eae826a959dc086df4",
         "harvester.csv": "90f419eae3b4c10015724e6df3facba6c6c4ab1da98e345d2105e8de9a821128",
-        "summary.txt": "58022241dbdb90cdb3327e413c5128ad334eeb6ff1595fa30dc1535a45e0bf5e",
+        "summary.txt": "50a6b2963c772892a15cbe0601bd1f22665b6d49e649d2ed642e1df09d2dce73",
         "trace.txt": "8649a0ff0017cc4fc42c6f4f0d09e47ff2ec49b024a64be2d3e5696aa8e064b6",
     },
     "home_5.cfg": {
         "occupancy.csv": "eeb88bcdab4a4d2e687320d0e87e0b79dc8cbb12d847be43a1378ee624bdf27a",
         "throughput.csv": "24b9849b3cb0e44e20597e369ddf3414dd0a0b9506bb7f6e2dab41e3b0f40ce5",
         "harvester.csv": "334ccf8708b7ea3ece23326bea9f6d0de209cde5b841e291879656eadaf018a0",
-        "summary.txt": "74b03715c12525deb382fbd44e0d6670f4f5a19149509122db22074b55cc3c8d",
+        "summary.txt": "8d9d9b2ae6b07dcd789eec9a75440ab3e3876730c1f6569d14bd65c6ce7ba9e2",
         "trace.txt": "ab9ddd7b5de89ab4787e5db7f1112a57cd156f6b6f0e3cce1d40d13bafe4305b",
     },
     "home_6.cfg": {
         "occupancy.csv": "737f485af9f52030e99b09a34bc18bdab3c6c159823b4acd4fc13e10ded97693",
         "throughput.csv": "d5c9764361e4c0a9d77cb750160a1047344b944df8ce16772a0d186615c85977",
         "harvester.csv": "80b8f5abeef4e5a66d64aea7757a0a81cafb2870279136b2e8f052debaf5f012",
-        "summary.txt": "bce478b258cc197c662c387dab9907ba99ff9eeeec4d852f83be7d27d8be7288",
+        "summary.txt": "3bff583dcb683f913a8f0627e0a954bfaf8e999d050e2ea8673e1f627df2f8a3",
         "trace.txt": "10b83c18580d4988e50474892ecdd0397e72cfd1dc902cb11c7f3922b62861fa",
     },
     "neighbor_fairness.cfg": {
         "occupancy.csv": "4156f40dab3b46cdc5000c8061c21c94b2e2e80984490ab961b9ed36c93ba7fb",
         "throughput.csv": "7d98c7171dad2e6623f101948c9283e4d5fa4a148b0776db931c10dce4f80911",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "aadc39496e47240c3140d4ae03c04ed83761c9f18c2d03636def4d5ba45ae443",
+        "summary.txt": "46537dfaea0cbfd2d0f5bae09632318c86571337a9f89e6904d60a07f91f449a",
         "trace.txt": "79512e0e0c1e728f54a6fcfcc48b7b82a59e409963e1a9b35b4c23b0764d8a37",
     },
     "powifi_default.cfg": {
@@ -117,7 +117,7 @@ GOLDEN = {
         "occupancy.csv": "68d5eeaff25d313df543e456c08de05dbee69af898c92c33e1b47ee9c38b9749",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
         "harvester.csv": "e4a0487840cc2fd73733c03771e9806b41143424fee88233c6718e7e463a066b",
-        "summary.txt": "b5dc623549adb7a1a9d5e3902d66988008c32fba0168ece96e15b1d1faf018b8",
+        "summary.txt": "711cf6a7b38e2bff96dfb480c9364af50fdd8c5673fdc7cafd67ac8522dea193",
         "trace.txt": "627bc74e2b627f919bef8ce67ac75387bcf7a83fa47f42eb6c58bb9d92a3b147",
     },
 }

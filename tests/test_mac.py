@@ -237,6 +237,22 @@ def test_invalid_station_config_rejected():
         mac.run_mac([mac.StationSpec("a", 6, flows=(f,))] * 2, duration_us=1e6)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("interval_us", [100.0, 70.0, 33.3])
+def test_every_arrival_in_the_window_is_admitted_or_dropped(seed, interval_us):
+    # the arrivals after the engine's last event count too
+    window = 300_000.0
+    pol = router.PowerPolicy(inter_packet_delay_us=interval_us)
+    neighbor = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged")
+    stations = [
+        mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True),
+        mac.StationSpec("n", 6, flows=(neighbor,)),
+    ]
+    stats = mac.run_mac(stations, duration_us=window, seed=seed)[6].flow_stats["r.power"]
+    assert stats.dropped_gate > 0
+    assert stats.admitted + stats.dropped_gate == math.ceil(window / interval_us)
+
+
 def test_oversized_data_flow_rejected_at_the_spec():
     with pytest.raises(ConfigError, match="1500 bytes"):
         mac.FlowSpec(name="f", kind="client_data", pacing="backlogged", size_bytes=1501)
