@@ -324,7 +324,7 @@ class HarvesterState:
     leaked_j: float = 0.0
     consumed_j: float = 0.0
     curtailed_j: float = 0.0
-    _fire_surplus_j: float = 0.0  # battery path accumulator
+    _fire_surplus_j: float = 0.0  # battery path: surplus toward the next firing
     _pending_fire_t: Optional[float] = None
 
     def v_store(self, cfg: HarvesterConfig) -> float:
@@ -759,6 +759,9 @@ def _run_envelope_battery(
         state.t_s = end_t
         return
     state.leaked_j += dcdc.quiescent_w * duration
+    # The net surplus charges the battery and each firing draws one
+    # operation's energy from it, as in _step_battery.
+    charge = state.stored_j + net * duration
     if cfg.load is not None:
         surplus = state._fire_surplus_j + net * duration
         n_fires = int(surplus / cfg.load.e_op_j)
@@ -769,10 +772,7 @@ def _run_envelope_battery(
                 state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
         state.consumed_j += n_fires * cfg.load.e_op_j
         state._fire_surplus_j = surplus - n_fires * cfg.load.e_op_j
-        gained = 0.0
-    else:
-        gained = net * duration
-    charge = state.stored_j + gained
+        charge -= n_fires * cfg.load.e_op_j
     if charge > store.capacity_j:
         state.curtailed_j += charge - store.capacity_j
         charge = store.capacity_j

@@ -156,6 +156,20 @@ def test_energy_ledger_closes_across_mixed_driving():
     assert abs(ledger_residue(st)) <= 1e-6 * st.harvested_j
 
 
+@pytest.mark.parametrize("make", [hv.battery_temp_sensor, hv.battery_camera])
+def test_energy_ledger_closes_on_the_battery_envelope_path(make):
+    cfg = make()
+    segs = hv.duty_envelope([(PowerDbm(-12.0), 0.9)] * 3, period_s=0.010)
+    st = hv.run_envelope(cfg, segs, 3600.0)
+    assert st.count("sensor_fire") >= 1
+    assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
+    # resuming the same state, then stepping it, keeps the ledger closed
+    hv.run_envelope(cfg, segs, 1234.5, state=st)
+    for dbm, dt in [(-12.0, 3.0), (-60.0, 2.0), (-8.0, 5.0)] * 10:
+        hv.step(st, PowerDbm(dbm), dt, cfg)
+    assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
+
+
 # -- incident power ----------------------------------------------------------
 
 def test_incident_power_single_channel():
