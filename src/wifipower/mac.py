@@ -120,13 +120,19 @@ def occupancy(trace: ChannelTrace, window: tuple[float, float]) -> float:
     inside the window.
     """
     t0, t1 = window
-    if t1 <= t0:
-        raise ConfigError(f"empty occupancy window ({t0}, {t1})")
+    length = _window_length(window)
     total = 0.0
     for r in trace.records:
         if t0 <= r.t_start_us < t1:
             total += r.payload_airtime_us
-    return total / (t1 - t0)
+    return total / length
+
+
+def _window_length(window: tuple[float, float]) -> float:
+    t0, t1 = window
+    if t1 <= t0:
+        raise ConfigError(f"empty occupancy window ({t0}, {t1})")
+    return t1 - t0
 
 
 def cumulative_occupancy(
@@ -593,6 +599,39 @@ def export_trace(traces: Iterable[ChannelTrace]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def parse_trace_line(raw: str, lineno: int) -> Optional[tuple]:
+    """Validated fields of one trace line, or None for a blank or comment.
+
+    Returns (t_start_us, channel, station_id, kind, size_bytes,
+    rate_mbps, outcome). Errors carry the 1-based line number.
+    """
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+    t_s, ch_s, station, kind, size_s, rate_s, outcome = parts
+    try:
+        t_start = float(t_s)
+        ch = int(ch_s)
+        size = int(size_s)
+        rate = float(rate_s)
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+    if ch not in VALID_CHANNELS:
+        raise TraceFormatError(f"line {lineno}: unknown channel {ch}")
+    if kind not in FRAME_KINDS:
+        raise TraceFormatError(f"line {lineno}: unknown frame kind {kind!r}")
+    if rate not in RATE_SET_MBPS:
+        raise TraceFormatError(f"line {lineno}: unknown rate token {rate_s!r}")
+    if outcome not in ("delivered", "collided"):
+        raise TraceFormatError(f"line {lineno}: unknown outcome {outcome!r}")
+    if size < 1:
+        raise TraceFormatError(f"line {lineno}: frame size must be >= 1")
+    return t_start, ch, station, kind, size, rate, outcome
+
+
 def parse_trace(
     text: str, duration_us: Optional[float] = None
 ) -> dict[int, ChannelTrace]:
@@ -603,30 +642,10 @@ def parse_trace(
     per_channel: dict[int, list[FrameRecord]] = {}
     max_t = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = parse_trace_line(raw, lineno)
+        if fields is None:
             continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-        t_s, ch_s, station, kind, size_s, rate_s, outcome = parts
-        try:
-            t_start = float(t_s)
-            ch = int(ch_s)
-            size = int(size_s)
-            rate = float(rate_s)
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        if ch not in VALID_CHANNELS:
-            raise TraceFormatError(f"line {lineno}: unknown channel {ch}")
-        if kind not in FRAME_KINDS:
-            raise TraceFormatError(f"line {lineno}: unknown frame kind {kind!r}")
-        if rate not in RATE_SET_MBPS:
-            raise TraceFormatError(f"line {lineno}: unknown rate token {rate_s!r}")
-        if outcome not in ("delivered", "collided"):
-            raise TraceFormatError(f"line {lineno}: unknown outcome {outcome!r}")
-        if size < 1:
-            raise TraceFormatError(f"line {lineno}: frame size must be >= 1")
+        t_start, ch, station, kind, size, rate, outcome = fields
         payload = size * 8.0 / rate
         per_channel.setdefault(ch, []).append(
             FrameRecord(
@@ -652,3 +671,37 @@ def parse_trace(
             records=recs,
         )
     return out
+
+
+def stream_occupancy(
+    lines: Iterable[str],
+    window: Optional[tuple[float, float]] = None,
+    stations: Optional[Iterable[str]] = None,
+) -> dict[int, float]:
+    """Per-channel occupancy of trace lines, read one line at a time.
+
+    `stations`, when given, keeps only the frames those stations sent.
+    Without a window, each channel is measured from 0 to the latest
+    frame end of the whole trace, as `parse_trace` sets its duration.
+    Airtimes are summed in line order, so on a trace in start-time order
+    per channel (as `export_trace` writes it) the result equals
+    `occupancy` of the parsed trace, float for float.
+    """
+    keep = None if stations is None else set(stations)
+    t0, t1 = window if window is not None else (0.0, math.inf)
+    totals: dict[int, float] = {}
+    max_t = 0.0
+    for lineno, raw in enumerate(lines, start=1):
+        fields = parse_trace_line(raw, lineno)
+        if fields is None:
+            continue
+        t_start, ch, station, _kind, size, rate, _outcome = fields
+        payload = size * 8.0 / rate
+        max_t = max(max_t, t_start + payload)
+        total = totals.setdefault(ch, 0.0)
+        if (keep is None or station in keep) and t0 <= t_start < t1:
+            totals[ch] = total + payload
+    if not totals:
+        return {}
+    length = _window_length(window if window is not None else (0.0, max_t))
+    return {ch: totals[ch] / length for ch in sorted(totals)}

@@ -869,22 +869,5 @@ def analyze_trace(
     the medium from a monitor capture).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    traces = mac.parse_trace(text)
-    if stations is not None:
-        keep = set(stations)
-        traces = {
-            ch: mac.ChannelTrace(
-                channel=tr.channel,
-                duration_us=tr.duration_us,
-                records=[r for r in tr.records if r.station_id in keep],
-            )
-            for ch, tr in traces.items()
-        }
-    result: dict = {"per_channel": {}, "cumulative": 0.0}
-    for ch, tr in sorted(traces.items()):
-        w = window_us if window_us is not None else (0.0, tr.duration_us)
-        occ = mac.occupancy(tr, w)
-        result["per_channel"][ch] = occ
-        result["cumulative"] += occ
-    return result
+        per_channel = mac.stream_occupancy(fh, window_us, stations)
+    return {"per_channel": per_channel, "cumulative": sum(per_channel.values(), 0.0)}

@@ -135,6 +135,40 @@ def test_analyze_trace_synthetic_file(tmp_path):
     assert res["per_channel"][6] == pytest.approx(0.000222, abs=1e-6)
 
 
+@pytest.mark.parametrize("config", ["home_2.cfg", "scheme_comparison.cfg"])
+def test_streamed_analysis_equals_parsed_occupancy(config, tmp_path):
+    # analyze_trace reads line by line; it must give the same floats as
+    # parsing the whole trace and measuring it
+    sc = scenario.load_scenario(scenario.bundled_config(config))
+    sc.mac_window_s = 0.3
+    rep = scenario.run(sc)
+    rep.write_outputs(str(tmp_path))
+    path = str(tmp_path / "trace.txt")
+    with open(path, encoding="utf-8") as fh:
+        parsed = mac.parse_trace(fh.read())
+    for window in (None, (0.0, 300_000.0), (50_000.0, 120_000.0)):
+        for stations in (None, rep.router_station_ids):
+            keep = None if stations is None else set(stations)
+            want = {}
+            for ch, tr in parsed.items():
+                if keep is not None:
+                    tr = mac.ChannelTrace(ch, tr.duration_us,
+                                          [r for r in tr.records if r.station_id in keep])
+                want[ch] = mac.occupancy(tr, window or (0.0, tr.duration_us))
+            res = scenario.analyze_trace(path, window_us=window, stations=stations)
+            assert res["per_channel"] == want
+            assert res["cumulative"] == sum(want[ch] for ch in sorted(want))
+
+
+def test_analyze_trace_empty_window_rejected(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("0.0,6,r,power_broadcast,1500,54,delivered\n")
+    with pytest.raises(ConfigError, match="empty occupancy window"):
+        scenario.analyze_trace(str(p), window_us=(5.0, 5.0))
+    p.write_text("# no records\n")
+    assert scenario.analyze_trace(str(p)) == {"per_channel": {}, "cumulative": 0.0}
+
+
 def test_analyze_trace_bad_line(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("0.0,6,r,power_broadcast,1500,54,delivered\ngarbage\n")
