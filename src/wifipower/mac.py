@@ -120,7 +120,7 @@ def occupancy(trace: ChannelTrace, window: tuple[float, float]) -> float:
     inside the window.
     """
     t0, t1 = window
-    length = _window_length(window)
+    length = window_length(window)
     total = 0.0
     for r in trace.records:
         if t0 <= r.t_start_us < t1:
@@ -128,7 +128,8 @@ def occupancy(trace: ChannelTrace, window: tuple[float, float]) -> float:
     return total / length
 
 
-def _window_length(window: tuple[float, float]) -> float:
+def window_length(window: tuple[float, float]) -> float:
+    """Length of an occupancy window; empty windows are rejected."""
     t0, t1 = window
     if t1 <= t0:
         raise ConfigError(f"empty occupancy window ({t0}, {t1})")
@@ -253,26 +254,13 @@ class _FlowRt:
     """Live counters of one flow plus the per-frame constants of its spec."""
 
     __slots__ = (
-        "name",
-        "kind",
-        "size_bytes",
-        "rate_mbps",
-        "broadcast",
-        "payload_us",
-        "busy_delivered_us",
-        "busy_collided_us",
-        "gate",
-        "backlogged",
-        "start_us",
-        "step_us",
-        "per_step",
-        "emitted",
-        "next_arrival",
-        "queued",
-        "admitted",
-        "dropped_gate",
-        "delivered",
-        "lost",
+        # per-frame constants
+        "name", "kind", "size_bytes", "rate_mbps", "broadcast", "payload_us",
+        "busy_delivered_us", "busy_collided_us", "gate", "backlogged",
+        # arrival process: arrival k is at start_us + k * step_us
+        "start_us", "step_us", "per_step", "emitted", "next_arrival",
+        # counters
+        "queued", "admitted", "dropped_gate", "delivered", "lost",
     )
 
     def __init__(self, spec: FlowSpec, params: MacParams):
@@ -288,7 +276,6 @@ class _FlowRt:
             self.busy_delivered_us += params.sifs_us + params.ack_airtime_us
         self.gate = spec.gate_threshold
         self.backlogged = spec.pacing == "backlogged"
-        # arrival k of a timed source is at start_us + k * step_us
         self.start_us = spec.start_us
         if spec.pacing == "burst":
             self.step_us = spec.period_us
@@ -322,18 +309,8 @@ class _FlowRt:
 
 class _StationRt:
     __slots__ = (
-        "station_id",
-        "flows",
-        "backlogged",
-        "rng",
-        "rr",
-        "head",
-        "ready_since",
-        "backoff_slots",
-        "cw",
-        "retries",
-        "queued",
-        "next_t",
+        "station_id", "flows", "backlogged", "rng", "rr", "head",
+        "ready_since", "backoff_slots", "cw", "retries", "queued", "next_t",
     )
 
     def __init__(self, spec: StationSpec, master_seed: int, params: MacParams):
@@ -648,18 +625,8 @@ def parse_trace(
         t_start, ch, station, kind, size, rate, outcome = fields
         payload = size * 8.0 / rate
         per_channel.setdefault(ch, []).append(
-            FrameRecord(
-                t_start_us=t_start,
-                channel=ch,
-                station_id=station,
-                kind=kind,
-                size_bytes=size,
-                rate_mbps=rate,
-                outcome=outcome,
-                payload_airtime_us=payload,
-                busy_time_us=payload,
-                flow=f"{station}:{kind}",
-            )
+            FrameRecord(t_start, ch, station, kind, size, rate, outcome,
+                        payload, payload, f"{station}:{kind}")
         )
         max_t = max(max_t, t_start + payload)
     out: dict[int, ChannelTrace] = {}
@@ -671,37 +638,3 @@ def parse_trace(
             records=recs,
         )
     return out
-
-
-def stream_occupancy(
-    lines: Iterable[str],
-    window: Optional[tuple[float, float]] = None,
-    stations: Optional[Iterable[str]] = None,
-) -> dict[int, float]:
-    """Per-channel occupancy of trace lines, read one line at a time.
-
-    `stations`, when given, keeps only the frames those stations sent.
-    Without a window, each channel is measured from 0 to the latest
-    frame end of the whole trace, as `parse_trace` sets its duration.
-    Airtimes are summed in line order, so on a trace in start-time order
-    per channel (as `export_trace` writes it) the result equals
-    `occupancy` of the parsed trace, float for float.
-    """
-    keep = None if stations is None else set(stations)
-    t0, t1 = window if window is not None else (0.0, math.inf)
-    totals: dict[int, float] = {}
-    max_t = 0.0
-    for lineno, raw in enumerate(lines, start=1):
-        fields = parse_trace_line(raw, lineno)
-        if fields is None:
-            continue
-        t_start, ch, station, _kind, size, rate, _outcome = fields
-        payload = size * 8.0 / rate
-        max_t = max(max_t, t_start + payload)
-        total = totals.setdefault(ch, 0.0)
-        if (keep is None or station in keep) and t0 <= t_start < t1:
-            totals[ch] = total + payload
-    if not totals:
-        return {}
-    length = _window_length(window if window is not None else (0.0, max_t))
-    return {ch: totals[ch] / length for ch in sorted(totals)}

@@ -866,8 +866,34 @@ def analyze_trace(
 
     `stations`, when given, restricts the analysis to frames sent by
     those stations (the usual way to measure one router's own share of
-    the medium from a monitor capture).
+    the medium from a monitor capture). Without a window, every channel
+    is measured from 0 to the latest frame end in the file, as
+    `mac.parse_trace` sets a trace's duration.
+
+    The file is read line by line and payload airtime summed per
+    channel in line order; on a trace in start-time order per channel,
+    as `mac.export_trace` writes it, this gives `mac.occupancy` of the
+    parsed trace float for float.
     """
+    keep = None if stations is None else set(stations)
+    t0, t1 = window_us if window_us is not None else (0.0, math.inf)
+    totals: dict[int, float] = {}
+    max_t = 0.0
     with open(path, "r", encoding="utf-8") as fh:
-        per_channel = mac.stream_occupancy(fh, window_us, stations)
-    return {"per_channel": per_channel, "cumulative": sum(per_channel.values(), 0.0)}
+        for lineno, raw in enumerate(fh, start=1):
+            fields = mac.parse_trace_line(raw, lineno)
+            if fields is None:
+                continue
+            t_start, ch, station, _kind, size, rate, _outcome = fields
+            payload = size * 8.0 / rate
+            max_t = max(max_t, t_start + payload)
+            total = totals.setdefault(ch, 0.0)
+            if (keep is None or station in keep) and t0 <= t_start < t1:
+                totals[ch] = total + payload
+    result: dict = {"per_channel": {}, "cumulative": 0.0}
+    if totals:
+        length = mac.window_length(window_us if window_us is not None else (0.0, max_t))
+        for ch in sorted(totals):
+            result["per_channel"][ch] = totals[ch] / length
+            result["cumulative"] += totals[ch] / length
+    return result
