@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -125,10 +126,12 @@ def _cmd_fcc(args) -> int:
 def _cmd_analyze(args) -> int:
     window = None
     if args.window:
-        parts = args.window.split(",")
-        if len(parts) != 2:
-            raise ConfigError("--window expects t0_us,t1_us")
-        window = (float(parts[0]), float(parts[1]))
+        try:
+            window = tuple(float(v) for v in args.window.split(","))
+        except ValueError:
+            window = ()
+        if len(window) != 2 or not all(map(math.isfinite, window)):
+            raise ConfigError("--window expects t0_us,t1_us as two finite numbers")
     stations = None
     if args.stations:
         stations = [s.strip() for s in args.stations.split(",") if s.strip()]

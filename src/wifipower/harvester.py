@@ -123,11 +123,10 @@ class ColdStartConverter:
     No power transfers while the rectifier's open-circuit voltage sits
     below `min_input_v`; once running, it pumps the storage element up
     and connects the output when the store reaches its activation
-    voltage (`boot_v` for the reference temperature-sensor part).
+    voltage (`CapacitorStore.v_activate`).
     """
 
     min_input_v: float = 0.300
-    boot_v: float = 2.400
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class BatteryAssistedConverter:
     below it cannot charge the battery. Fitted, not measured.
     """
 
-    mppt_ref_v: float = 0.200
     quiescent_w: float = 2.0e-6
 
 

@@ -568,12 +568,25 @@ def format_trace_line(r: FrameRecord) -> str:
 
 
 def export_trace(traces: Iterable[ChannelTrace]) -> str:
-    """Line-per-record text form, ordered by channel then start time."""
-    lines = []
+    """Line-per-record text form, ordered by channel then start time.
+
+    A line is `repr(t_start_us)` followed by a tail that depends only on
+    the record's other fields, and a trace repeats a few dozen tails over
+    tens of thousands of lines, so each distinct tail is cut from
+    `format_trace_line` once and reused.
+    """
+    tails: dict[tuple, str] = {}
+    parts: list[str] = []
     for tr in sorted(traces, key=lambda x: x.channel):
         for r in tr.records:
-            lines.append(format_trace_line(r))
-    return "\n".join(lines) + ("\n" if lines else "")
+            start = repr(r.t_start_us)
+            key = (r.channel, r.station_id, r.kind, r.size_bytes, r.rate_mbps, r.outcome)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = format_trace_line(r)[len(start):] + "\n"
+            parts.append(start)
+            parts.append(tail)
+    return "".join(parts)
 
 
 def parse_trace_line(raw: str, lineno: int) -> Optional[tuple]:

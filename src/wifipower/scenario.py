@@ -157,10 +157,12 @@ class Scenario:
     throughput_bin_ms: float = 500.0
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        for name in ("duration_s", "mac_window_s", "occupancy_bin_ms", "throughput_bin_ms"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if not self.router.channels:
             raise ConfigError("router needs at least one channel")
         for ch in self.router.channels:
@@ -269,7 +271,10 @@ def _parse_value(key: str, raw: str, kind, lineno: int):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         if kind == "bool":
             if raw.lower() in ("true", "yes", "1", "on"):
                 return True
@@ -607,11 +612,34 @@ def _router_view(trace: mac.ChannelTrace, router_ids: tuple[str, ...]) -> mac.Ch
 def occupancy_bins(
     trace: mac.ChannelTrace, bin_ms: float
 ) -> tuple[list[float], list[float]]:
+    """Bin start times (ms) and `mac.occupancy` of each bin, in one pass.
+
+    Bin i is the window (i*bin_us, (i+1)*bin_us); a record lands in it by
+    the same edge test and order of summation `mac.occupancy` uses, so
+    every value equals `mac.occupancy` of that window float for float.
+    """
     bin_us = bin_ms * 1000.0
     n = max(1, int(trace.duration_us // bin_us))
     starts = [i * bin_ms for i in range(n)]
+    totals = [0.0] * n
+    end = n * bin_us
+    i, lo, hi = 0, 0.0, bin_us  # the bin of the previous record
+    for r in trace.records:
+        t = r.t_start_us
+        if not lo <= t < hi:
+            if not 0.0 <= t < end:
+                continue
+            # floor division can land one bin off the edges i * bin_us
+            i = min(int(t // bin_us), n - 1)
+            while i * bin_us > t:
+                i -= 1
+            while (i + 1) * bin_us <= t:
+                i += 1
+            lo, hi = i * bin_us, (i + 1) * bin_us
+        totals[i] += r.payload_airtime_us
     vals = [
-        mac.occupancy(trace, (i * bin_us, (i + 1) * bin_us)) for i in range(n)
+        totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))
+        for i in range(n)
     ]
     return starts, vals
 
@@ -874,22 +902,42 @@ def analyze_trace(
     channel in line order; on a trace in start-time order per channel,
     as `mac.export_trace` writes it, this gives `mac.occupancy` of the
     parsed trace float for float.
+
+    Everything after a line's first comma (its tail) is validated by
+    `mac.parse_trace_line` the first time it is seen; later lines with
+    the same tail only convert their start time. A line whose start does
+    not convert goes back through `mac.parse_trace_line`, which skips it
+    as a comment or raises with its line number.
     """
     keep = None if stations is None else set(stations)
     t0, t1 = window_us if window_us is not None else (0.0, math.inf)
     totals: dict[int, float] = {}
+    # tail -> (channel, payload airtime, passes the station filter)
+    tails: dict[str, tuple[int, float, bool]] = {}
     max_t = 0.0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            fields = mac.parse_trace_line(raw, lineno)
-            if fields is None:
-                continue
-            t_start, ch, station, _kind, size, rate, _outcome = fields
-            payload = size * 8.0 / rate
-            max_t = max(max_t, t_start + payload)
-            total = totals.setdefault(ch, 0.0)
-            if (keep is None or station in keep) and t0 <= t_start < t1:
-                totals[ch] = total + payload
+            start, _, tail = raw.partition(",")
+            known = tails.get(tail)
+            if known is not None:
+                try:
+                    t_start = float(start)
+                except ValueError:
+                    known = None
+            if known is None:
+                fields = mac.parse_trace_line(raw, lineno)
+                if fields is None:
+                    continue
+                t_start, ch, station, _kind, size, rate, _outcome = fields
+                known = tails[tail] = (
+                    ch, size * 8.0 / rate, keep is None or station in keep
+                )
+                totals.setdefault(ch, 0.0)
+            ch, payload, counted = known
+            if t_start + payload > max_t:
+                max_t = t_start + payload
+            if counted and t0 <= t_start < t1:
+                totals[ch] += payload
     result: dict = {"per_channel": {}, "cumulative": 0.0}
     if totals:
         length = mac.window_length(window_us if window_us is not None else (0.0, max_t))

@@ -89,9 +89,6 @@ class GainDbi:
     def __post_init__(self) -> None:
         _require_finite("GainDbi", self.value)
 
-    def db_delta(self) -> float:
-        return self.value
-
     def __add__(self, other):
         if isinstance(other, GainDbi):
             return GainDbi(self.value + other.value)

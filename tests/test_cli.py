@@ -113,3 +113,35 @@ def test_sweep_subcommand(tmp_path, capsys):
     lines = text.strip().splitlines()
     assert lines[0].startswith("value,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("line, message", [
+    ("occupancy_bin_ms = 0", "occupancy_bin_ms must be finite and > 0"),
+    ("throughput_bin_ms = -5", "throughput_bin_ms must be finite and > 0"),
+    ("mac_window_s = nan", "line 4: key 'mac_window_s': not a finite number"),
+    ("occupancy_bin_ms = nan", "line 4: key 'occupancy_bin_ms': not a finite number"),
+    ("duration_s = inf", "line 4: key 'duration_s': not a finite number"),
+], ids=["occupancy_bin_zero", "throughput_bin_negative", "mac_window_nan",
+        "occupancy_bin_nan", "duration_inf"])
+def test_bad_bins_and_windows_exit_2(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, BASIC.replace("seed = 5\n", "seed = 5\n" + line + "\n"))
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_duration_override_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASIC)
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x"), "--duration", "nan"])
+    assert rc == 2
+    assert "duration_s must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["nan,1000", "0,inf", "abc,1", "0", "0,1,2"])
+def test_analyze_bad_window_exit_2(tmp_path, capsys, window):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0.0,6,r,power_broadcast,1500,54,delivered\n")
+    rc = cli.main(["analyze", str(trace), "--window", window])
+    assert rc == 2
+    assert "--window expects" in capsys.readouterr().err

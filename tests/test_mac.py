@@ -286,6 +286,46 @@ def test_trace_round_trip():
     assert mac.occupancy(back, w) == pytest.approx(mac.occupancy(tr, w), rel=1e-12)
 
 
+def formatted_one_by_one(traces) -> str:
+    lines = [mac.format_trace_line(r)
+             for tr in sorted(traces, key=lambda x: x.channel) for r in tr.records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def contended_traces(seed: int) -> dict:
+    def ap(sid, ch, *flows):
+        return mac.StationSpec(sid, ch, flows=flows, is_ap=True)
+
+    stations = [
+        ap("r1", 1, mac.FlowSpec(name="r1.power", kind="power_broadcast", pacing="paced",
+                                 interval_us=100.0, gate_threshold=5),
+           mac.cbr_flow_for_target("c1", "client_data", 6.0, rate_mbps=24.0)),
+        ap("n1", 1, mac.FlowSpec(name="n1", kind="neighbor_data", pacing="backlogged",
+                                 size_bytes=900, rate_mbps=5.5)),
+        ap("n2", 11, mac.FlowSpec(name="n2", kind="neighbor_data", pacing="burst",
+                                  frames_per_burst=4, period_us=20_000.0, rate_mbps=11.0)),
+        ap("n3", 11, mac.cbr_flow_for_target("n3", "neighbor_data", 3.0, rate_mbps=1.0)),
+    ]
+    return mac.run_mac(stations, duration_us=300_000.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_export_trace_equals_line_by_line_format(seed):
+    traces = contended_traces(seed)
+    assert any(r.outcome == "collided" for tr in traces.values() for r in tr.records)
+    text = mac.export_trace(traces.values())
+    assert text == formatted_one_by_one(traces.values())
+    # channel order does not depend on the order traces are given in
+    assert mac.export_trace(reversed(list(traces.values()))) == text
+    parsed = mac.parse_trace(text)
+    assert mac.export_trace(parsed.values()) == formatted_one_by_one(parsed.values())
+    rng = random.Random(seed)
+    rand = make_random_trace(rng)
+    assert mac.export_trace([rand]) == formatted_one_by_one([rand])
+    assert mac.export_trace([]) == ""
+    assert mac.export_trace([mac.ChannelTrace(6, 1.0)]) == ""
+
+
 def test_parse_trace_errors_carry_line_numbers():
     with pytest.raises(TraceFormatError, match="line 2"):
         mac.parse_trace("0.0,6,s,beacon,300,1,delivered\nnot,a,line\n")

@@ -1,10 +1,11 @@
 import math
 import os
+import random
 
 import pytest
 
 from wifipower import mac, rf, scenario
-from wifipower.errors import ConfigError
+from wifipower.errors import ConfigError, TraceFormatError
 
 MINIMAL = """
 duration_s = 5
@@ -135,7 +136,13 @@ def test_analyze_trace_synthetic_file(tmp_path):
     assert res["per_channel"][6] == pytest.approx(0.000222, abs=1e-6)
 
 
-@pytest.mark.parametrize("config", ["home_2.cfg", "scheme_comparison.cfg"])
+BUNDLED_CONFIGS = sorted(
+    name for name in os.listdir(os.path.dirname(scenario.bundled_config("home_1.cfg")))
+    if name.endswith(".cfg")
+)
+
+
+@pytest.mark.parametrize("config", BUNDLED_CONFIGS)
 def test_streamed_analysis_equals_parsed_occupancy(config, tmp_path):
     # analyze_trace reads line by line; it must give the same floats as
     # parsing the whole trace and measuring it
@@ -174,6 +181,137 @@ def test_analyze_trace_bad_line(tmp_path):
     p.write_text("0.0,6,r,power_broadcast,1500,54,delivered\ngarbage\n")
     with pytest.raises(Exception, match="line 2"):
         scenario.analyze_trace(str(p))
+
+
+LINE = "{},6,r,power_broadcast,1500,54,delivered\n"
+
+
+@pytest.mark.parametrize("start", ["abc", "", " ", "1.0.0"])
+def test_analyze_trace_bad_start_on_a_known_tail(start, tmp_path):
+    # the tail was validated on line 1; line 3 must still fail on its start
+    p = tmp_path / "t.txt"
+    p.write_text(LINE.format("0.0") + LINE.format("10.0") + LINE.format(start))
+    with pytest.raises(TraceFormatError, match="line 3"):
+        scenario.analyze_trace(str(p))
+
+
+def test_analyze_trace_skips_comments_and_blanks_with_a_known_tail(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text(LINE.format("0.0") + LINE.format("500.0"))
+    noisy = tmp_path / "noisy.txt"
+    noisy.write_text(
+        LINE.format("0.0")
+        + LINE.format("#100.0")
+        + LINE.format("  # 200.0")
+        + "\n"
+        + "   \n"
+        + LINE.format("500.0")
+    )
+    for window in (None, (0.0, 1000.0)):
+        assert (scenario.analyze_trace(str(noisy), window_us=window)
+                == scenario.analyze_trace(str(plain), window_us=window))
+
+
+def test_analyze_trace_validates_each_new_tail_once(tmp_path, monkeypatch):
+    # a line with trailing spaces has a tail of its own: it goes through the
+    # validator instead of reusing the tail it equals once stripped
+    seen = []
+    validate = mac.parse_trace_line
+
+    def spy(raw, lineno):
+        seen.append(lineno)
+        return validate(raw, lineno)
+
+    monkeypatch.setattr(mac, "parse_trace_line", spy)
+    p = tmp_path / "t.txt"
+    p.write_text(
+        LINE.format("0.0")
+        + LINE.format("100.0")[:-1] + "   \n"
+        + LINE.format("200.0")
+        + LINE.format("300.0")[:-1] + "   \n"
+        + LINE.format("400.0")[:-1]
+    )
+    res = scenario.analyze_trace(str(p), window_us=(0.0, 1000.0))
+    assert seen == [1, 2, 5]
+    assert res["per_channel"][6] == 5 * (1500 * 8.0 / 54.0) / 1000.0
+
+
+def test_analyze_trace_station_filter_per_tail(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text(
+        "0.0,1,ours,power_broadcast,1500,54,delivered\n"
+        "300.0,1,theirs,power_broadcast,1500,54,delivered\n"
+        "600.0,1,ours,power_broadcast,1500,54,delivered\n"
+        "900.0,1,theirs,power_broadcast,1500,54,delivered\n"
+    )
+    res = scenario.analyze_trace(str(p), window_us=(0.0, 1000.0), stations=["ours"])
+    assert res["per_channel"][1] == (1500 * 8.0 / 54.0 + 1500 * 8.0 / 54.0) / 1000.0
+    # the latest frame end counts every station, filtered or not
+    res = scenario.analyze_trace(str(p), stations=["ours"])
+    assert res["per_channel"][1] == 2 * (1500 * 8.0 / 54.0) / (900.0 + 1500 * 8.0 / 54.0)
+
+
+def _binned_reference(trace, bin_ms):
+    bin_us = bin_ms * 1000.0
+    n = max(1, int(trace.duration_us // bin_us))
+    return ([i * bin_ms for i in range(n)],
+            [mac.occupancy(trace, (i * bin_us, (i + 1) * bin_us)) for i in range(n)])
+
+
+def _edge_records(bin_us, n_edges):
+    out = []
+    for i in range(n_edges):
+        edge = i * bin_us
+        for t in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+            out.append(t)
+    return out + [-1.0, math.nan, math.inf]
+
+
+# Bin widths of 0.1 us and 333.3 us are not exact in binary, so on some
+# edges int(t // bin_us) names the bin below the one the window test picks.
+@pytest.mark.parametrize("bin_ms", [0.0001, 0.3333, 0.1, 333.3, 100.0])
+def test_occupancy_bins_equal_per_bin_occupancy(bin_ms):
+    bin_us = bin_ms * 1000.0
+    n_whole = 40
+    # the window ends two fifths of a bin past the last whole bin
+    duration_us = (n_whole + 0.4) * bin_us
+    starts = _edge_records(bin_us, n_whole + 2)
+    if bin_ms in (0.0001, 0.3333):
+        assert any(i * bin_us <= t and int(t // bin_us) != i
+                   for i in range(n_whole) for t in starts
+                   if i * bin_us <= t < (i + 1) * bin_us)
+    rng = random.Random(7)
+    rng.shuffle(starts)
+    records = [
+        mac.FrameRecord(t, 6, "r", "power_broadcast", 1500, 54.0, "delivered",
+                        1.0 + 0.37 * k, 0.0)
+        for k, t in enumerate(starts)
+    ]
+    trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
+    assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
+    # in start-time order, as the engine records them
+    trace.records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
+    assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
+
+
+def test_occupancy_bins_window_shorter_than_a_bin():
+    # one bin, reaching past the window end
+    records = [mac.FrameRecord(t, 1, "r", "beacon", 300, 1.0, "delivered", 2400.0, 0.0)
+               for t in (0.0, 900.0, 1500.0, 2000.0)]
+    trace = mac.ChannelTrace(channel=1, duration_us=1000.0, records=records)
+    assert scenario.occupancy_bins(trace, 2.0) == _binned_reference(trace, 2.0)
+    assert scenario.occupancy_bins(trace, 2.0)[1] == [3 * 2400.0 / 2000.0]
+
+
+def test_occupancy_bins_of_bundled_runs_equal_per_bin_occupancy():
+    sc = scenario.load_scenario(scenario.bundled_config("home_3.cfg"))
+    sc.mac_window_s = 0.5
+    sc.occupancy_bin_ms = 33.3
+    rep = scenario.run(sc)
+    for ch, tr in rep.traces.items():
+        view = scenario._router_view(tr, rep.router_station_ids)
+        assert scenario.occupancy_bins(view, 33.3) == _binned_reference(view, 33.3)
+        assert rep.occupancy_bins[ch] == _binned_reference(view, 33.3)[1]
 
 
 def test_sweep_distance_update_rate_non_increasing():
