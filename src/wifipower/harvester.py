@@ -10,7 +10,9 @@ Everything steps in closed form over intervals of constant incident
 power, so runs are exact and deterministic with no integration tick.
 Long runs over periodic power patterns fast-forward across whole
 periods between threshold crossings, which is what makes a 24 hour
-harvester timeline cheap to simulate.
+harvester timeline cheap to simulate. A run works out each segment's
+transfer watts and the store's threshold energies once, and the
+periods it walks near a threshold step the store from those values.
 
 Calibration notice: the rectifier anchor powers, storage leakage, and
 converter quiescent draw are calibration parameters. The sensitivity
@@ -374,8 +376,18 @@ def step(
     if isinstance(cfg.storage, BatteryStore):
         _step_battery(state, p_net_in, dt, cfg)
     else:
-        _step_capacitor(state, p_net_in, dt, cfg)
+        _step_capacitor(state, p_net_in, dt, cfg, _store_levels(cfg.storage))
     return state
+
+
+def _store_levels(store: CapacitorStore) -> tuple[float, float, float]:
+    """Stored energy (e_floor, e_cut, e_act) at the floor, cutoff and
+    activation voltages."""
+    return (
+        store.energy_j(store.v_floor),
+        store.energy_j(store.v_cutoff),
+        store.energy_j(store.v_activate),
+    )
 
 
 def _step_battery(
@@ -411,38 +423,43 @@ def _step_battery(
     state.t_s += dt
 
 
-def _fire(state: HarvesterState, t: float, cfg: HarvesterConfig) -> None:
+def _fire(
+    state: HarvesterState, t: float, cfg: HarvesterConfig, levels: tuple[float, float, float]
+) -> None:
     """Consume one operation's energy from a capacitor store."""
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     assert cfg.load is not None
-    e_floor = store.energy_j(store.v_floor)
+    e_floor, e_cut, _ = levels
     new_e = max(e_floor, state.stored_j - cfg.load.e_op_j)
     state.consumed_j += state.stored_j - new_e
     state.stored_j = new_e
     state.log(t, "sensor_fire", store.voltage(new_e))
-    if state.booted and new_e < store.energy_j(store.v_cutoff):
+    if state.booted and new_e < e_cut:
         state.booted = False
         state.log(t, "brown_out", store.voltage(new_e))
 
 
 def _step_capacitor(
-    state: HarvesterState, p_in_w: float, dt: float, cfg: HarvesterConfig
+    state: HarvesterState,
+    p_in_w: float,
+    dt: float,
+    cfg: HarvesterConfig,
+    levels: tuple[float, float, float],
 ) -> None:
+    """The capacitor stepping rule: `dt` seconds at `p_in_w` transfer
+    watts, with `levels` the store's `_store_levels`.
+
+    Each stretch of time is booked in place (harvested, leaked, t,
+    remaining) rather than through a helper: this is the innermost
+    loop of `run_envelope`. A stretch that runs to the end of the
+    interval books the rest and leaves the loop.
+    """
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    e_floor = store.energy_j(store.v_floor)
-    e_cut = store.energy_j(store.v_cutoff)
-    e_act = store.energy_j(store.v_activate)
+    e_floor, e_cut, e_act = levels
     leak = store.leakage_w
     remaining = dt
     t = state.t_s
     e = state.stored_j
-
-    def book(tau: float, leaked: float) -> None:
-        nonlocal t, remaining
-        state.harvested_j += p_in_w * tau
-        state.leaked_j += leaked
-        t += tau
-        remaining -= tau
 
     while remaining > 1e-18:
         net = p_in_w - leak
@@ -457,12 +474,15 @@ def _step_capacitor(
                 gained = min(net * tau, room)
                 state.curtailed_j += max(0.0, net * tau - gained)
                 e = max(e_floor, e + gained)
-                book(tau, leak * tau)
+                state.harvested_j += p_in_w * tau
+                state.leaked_j += leak * tau
+                t += tau
+                remaining -= tau
             if state._pending_fire_t - t > 1e-15:
                 break  # boot still pending past this interval
             state._pending_fire_t = None
             state.stored_j = e
-            _fire(state, t, cfg)
+            _fire(state, t, cfg, levels)
             e = state.stored_j
             continue
 
@@ -470,28 +490,36 @@ def _step_capacitor(
             if e >= e_act - 1e-21:
                 if cfg.load is None:
                     # Pinned at the ceiling; surplus is curtailed.
-                    tau = remaining
-                    state.curtailed_j += net * tau
-                    book(tau, leak * tau)
-                    continue
+                    state.curtailed_j += net * remaining
+                    state.harvested_j += p_in_w * remaining
+                    state.leaked_j += leak * remaining
+                    t += remaining
+                    break
                 state.stored_j = e
-                _cross_activation(state, t, cfg)
+                _cross_activation(state, t, cfg, levels)
                 e = state.stored_j
                 if state._pending_fire_t is None and e >= e_act - 1e-21:
                     # No load consumption happened; avoid spinning.
-                    tau = remaining
-                    state.curtailed_j += net * tau
-                    book(tau, leak * tau)
+                    state.curtailed_j += net * remaining
+                    state.harvested_j += p_in_w * remaining
+                    state.leaked_j += leak * remaining
+                    t += remaining
+                    break
                 continue
             t_cross = (e_act - e) / net
             if t_cross >= remaining:
                 e += net * remaining
-                book(remaining, leak * remaining)
-                continue
+                state.harvested_j += p_in_w * remaining
+                state.leaked_j += leak * remaining
+                t += remaining
+                break
             e = e_act
-            book(t_cross, leak * t_cross)
+            state.harvested_j += p_in_w * t_cross
+            state.leaked_j += leak * t_cross
+            t += t_cross
+            remaining -= t_cross
             state.stored_j = e
-            _cross_activation(state, t, cfg)
+            _cross_activation(state, t, cfg, levels)
             e = state.stored_j
         elif net < 0:
             if state.booted and e > e_cut:
@@ -500,27 +528,38 @@ def _step_capacitor(
                 target = e_floor
             else:
                 # Pinned at the floor: whatever trickles in leaks away.
-                tau = remaining
-                book(tau, p_in_w * tau)
-                continue
+                state.harvested_j += p_in_w * remaining
+                state.leaked_j += p_in_w * remaining
+                t += remaining
+                break
             t_cross = (e - target) / (-net)
             if t_cross >= remaining:
                 e += net * remaining
-                book(remaining, leak * remaining)
-                continue
+                state.harvested_j += p_in_w * remaining
+                state.leaked_j += leak * remaining
+                t += remaining
+                break
             e = target
-            book(t_cross, leak * t_cross)
+            state.harvested_j += p_in_w * t_cross
+            state.leaked_j += leak * t_cross
+            t += t_cross
+            remaining -= t_cross
             if target == e_cut and state.booted:
                 state.booted = False
                 state.log(t, "brown_out", store.voltage(e))
         else:
-            book(remaining, leak * remaining)
+            state.harvested_j += p_in_w * remaining
+            state.leaked_j += leak * remaining
+            t += remaining
+            break
 
     state.stored_j = e
     state.t_s = t
 
 
-def _cross_activation(state: HarvesterState, t: float, cfg: HarvesterConfig) -> None:
+def _cross_activation(
+    state: HarvesterState, t: float, cfg: HarvesterConfig, levels: tuple[float, float, float]
+) -> None:
     """Upward crossing of the activation energy."""
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     if not state.booted:
@@ -530,7 +569,7 @@ def _cross_activation(state: HarvesterState, t: float, cfg: HarvesterConfig) -> 
             state._pending_fire_t = t + cfg.load.boot_time_s
         return
     if cfg.load is not None:
-        _fire(state, t, cfg)
+        _fire(state, t, cfg, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +678,11 @@ def run_envelope(
     jumped in closed form, so runtime scales with the number of events
     (boots, fires, brown-outs), not with simulated time. The envelope
     phase is locked to absolute time zero.
+
+    Each segment's `transfer_power_w` and the store's `_store_levels`
+    are computed once per call; the periods walked near a threshold
+    step the capacitor from them, with the same floats as calling
+    `step` once per segment.
     """
     if state is None:
         state = new_state(cfg)
@@ -652,25 +696,25 @@ def run_envelope(
         return state
 
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    nets = [transfer_power_w(p, cfg) - store.leakage_w for _, p in segments]
-    inflows = [transfer_power_w(p, cfg) for _, p in segments]
+    # (seconds, transfer watts) of each segment, worked out once per run
+    walk = [(dt_s, transfer_power_w(p, cfg)) for dt_s, p in segments]
+    nets = [w - store.leakage_w for _, w in walk]
     d_period = sum(n * s[0] for n, s in zip(nets, segments))
     prefix = prefix_max = prefix_min = 0.0
     for n, (dt_s, _) in zip(nets, segments):
         prefix += n * dt_s
         prefix_max = max(prefix_max, prefix)
         prefix_min = min(prefix_min, prefix)
-    harvest_period = sum(p * s[0] for p, s in zip(inflows, segments))
+    harvest_period = sum(w * dt_s for dt_s, w in walk)
 
-    e_floor = store.energy_j(store.v_floor)
-    e_cut = store.energy_j(store.v_cutoff)
-    e_act = store.energy_j(store.v_activate)
+    levels = _store_levels(store)
+    e_floor, e_cut, e_act = levels
     eps = 1e-18
 
     while end_t - state.t_s > 1e-12:
         remaining = end_t - state.t_s
         if remaining < period or state._pending_fire_t is not None:
-            _run_segments(cfg, segments, state, min(period, remaining))
+            _run_segments(cfg, walk, state, min(period, remaining), period, levels)
             continue
         e = state.stored_j
         low_bound = e_cut if state.booted else e_floor
@@ -695,7 +739,7 @@ def run_envelope(
         # periodic fixed point and can be replicated to the end.
         snap = (state.stored_j, state.booted, len(state.events))
         h0, l0, c0 = state.harvested_j, state.leaked_j, state.curtailed_j
-        _run_segments(cfg, segments, state, period)
+        _run_segments(cfg, walk, state, period, period, levels)
         if (state.stored_j, state.booted, len(state.events)) == snap:
             reps = int((end_t - state.t_s) / period)
             if reps >= 1:
@@ -708,17 +752,23 @@ def run_envelope(
 
 def _run_segments(
     cfg: HarvesterConfig,
-    segments: Sequence[Segment],
+    walk: Sequence[tuple[float, float]],
     state: HarvesterState,
     span_s: float,
+    period: float,
+    levels: tuple[float, float, float],
 ) -> None:
-    """Step through envelope segments for exactly `span_s` seconds."""
-    period = sum(dt for dt, _ in segments)
+    """Step a capacitor store through envelope segments for exactly
+    `span_s` seconds, from the phase of `state.t_s` in `period`.
+
+    `walk` holds each segment's (seconds, `transfer_power_w`) and
+    `levels` the store's `_store_levels`, both computed by the caller.
+    """
     offset = state.t_s % period
     left = span_s
     idx = 0
     acc = 0.0
-    for i, (dt_s, _) in enumerate(segments):
+    for i, (dt_s, _) in enumerate(walk):
         if offset < acc + dt_s - 1e-15:
             idx = i
             break
@@ -726,15 +776,18 @@ def _run_segments(
     else:
         idx, acc, offset = 0, 0.0, 0.0
     into = offset - acc
+    n = len(walk)
     while left > 1e-15:
-        dt_s, p_in = segments[idx]
+        dt_s, watts = walk[idx]
         avail = dt_s - into
-        tau = min(avail, left)
+        tau = left if left < avail else avail
         if tau > 0:
-            step(state, p_in, tau, cfg)
+            _step_capacitor(state, watts, tau, cfg, levels)
             left -= tau
         into = 0.0
-        idx = (idx + 1) % len(segments)
+        idx += 1
+        if idx == n:
+            idx = 0
 
 
 def _run_envelope_battery(

@@ -232,6 +232,61 @@ def test_run_envelope_matches_plain_stepping():
     assert fast.harvested_j == pytest.approx(slow.harvested_j, rel=1e-9)
 
 
+def _regime(name):
+    """(cfg, segments, state) in one regime of the capacitor rule; the
+    envelope has 'on' segments above leakage and 'off' ones at zero."""
+    cfg = hv.battery_free_temp_sensor()
+    segs = hv.duty_envelope([(PowerDbm(-11.0), 0.3)] * 3, period_s=0.010)
+    e_floor, e_cut, e_act = hv._store_levels(cfg.storage)
+    if name == "cold":
+        st = hv.new_state(cfg)
+    elif name == "mid_charge":
+        st = hv.HarvesterState(t_s=1.0, stored_j=0.5 * e_act)
+    elif name == "boot_pending_across_edge":
+        st = hv.HarvesterState(stored_j=e_act, booted=True)
+        st._pending_fire_t = 1.5 * segs[0][0]
+    elif name == "booted_near_cutoff":
+        segs = hv.duty_envelope([(PowerDbm(-60.0), 0.3)] * 3, period_s=0.010)
+        st = hv.HarvesterState(stored_j=e_cut * (1 + 1e-6), booted=True)
+    elif name == "floor_below_sensitivity":
+        segs = hv.duty_envelope([(PowerDbm(-30.0), 0.9)] * 3, period_s=0.010)
+        st = hv.HarvesterState(stored_j=e_floor)
+    else:  # no-load ceiling
+        cfg = hv.HarvesterConfig(cfg.rectifier, cfg.dcdc, cfg.storage, load=None)
+        st = hv.HarvesterState(stored_j=e_act, booted=True)
+    return cfg, segs, st
+
+
+@pytest.mark.parametrize("name", [
+    "cold", "mid_charge", "boot_pending_across_edge", "booted_near_cutoff",
+    "floor_below_sensitivity", "no_load_ceiling",
+])
+def test_segment_walk_equals_public_stepping(name):
+    cfg, segs, walked = _regime(name)
+    _, _, ref = _regime(name)
+    walk = [(dt, hv.transfer_power_w(p, cfg)) for dt, p in segs]
+    period = sum(dt for dt, _ in segs)
+    hv._run_segments(cfg, walk, walked, period, period, hv._store_levels(cfg.storage))
+    left = period
+    for dt, p in segs:  # the pieces _run_segments cuts from one period
+        tau = min(dt, left)
+        hv.step(ref, p, tau, cfg)
+        left -= tau
+    for attr in ("t_s", "stored_j", "booted", "events", "harvested_j",
+                 "leaked_j", "consumed_j", "curtailed_j", "_pending_fire_t"):
+        assert getattr(walked, attr) == getattr(ref, attr), attr
+    kinds = [e for _, e, _ in walked.events]
+    expect = {
+        "cold": not kinds and 0.0 < walked.stored_j,
+        "mid_charge": not kinds,
+        "boot_pending_across_edge": kinds == ["sensor_fire"],
+        "booted_near_cutoff": kinds == ["brown_out"],
+        "floor_below_sensitivity": walked.harvested_j == 0.0 and walked.stored_j == 0.0,
+        "no_load_ceiling": walked.curtailed_j > 0.0,
+    }
+    assert expect[name], (name, walked)
+
+
 def test_max_operating_range_battery_free_window():
     d = hv.max_operating_range(PLAN, hv.battery_free_temp_sensor(), duty=0.9)
     assert 18.0 <= d.feet <= 22.0
