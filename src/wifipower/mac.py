@@ -29,7 +29,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, TraceFormatError
 
@@ -136,6 +136,33 @@ def window_length(window: tuple[float, float]) -> float:
     return t1 - t0
 
 
+def time_bins(
+    records: Iterable[FrameRecord], bin_us: float, n: int
+) -> Iterator[tuple[int, FrameRecord]]:
+    """(bin, record) for each record that starts inside one of `n` bins.
+
+    Bin i is the window i*bin_us <= t < (i+1)*bin_us, the edge test of
+    `occupancy`; a record before 0, at or past n*bin_us, or at NaN is
+    skipped. Records in start-time order mostly share the bin of the
+    previous one, so that bin is tried first.
+    """
+    end = n * bin_us
+    i, lo, hi = 0, 0.0, bin_us  # the bin of the previous record
+    for r in records:
+        t = r.t_start_us
+        if not lo <= t < hi:
+            if not 0.0 <= t < end:
+                continue
+            # floor division can land one bin off the edges i * bin_us
+            i = min(int(t // bin_us), n - 1)
+            while i * bin_us > t:
+                i -= 1
+            while (i + 1) * bin_us <= t:
+                i += 1
+            lo, hi = i * bin_us, (i + 1) * bin_us
+        yield i, r
+
+
 def cumulative_occupancy(
     traces: Iterable[ChannelTrace], window: tuple[float, float]
 ) -> float:
@@ -170,7 +197,6 @@ class FlowSpec:
     frames_per_burst: int = 0
     period_us: float = 0.0
     gate_threshold: Optional[int] = None
-    dest: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in FRAME_KINDS:
@@ -203,7 +229,6 @@ def cbr_flow_for_target(
     target_mbps: float,
     size_bytes: int = 1500,
     rate_mbps: float = 54.0,
-    dest: str = "",
 ) -> FlowSpec:
     """CBR flow whose offered load is `target_mbps` of payload bits."""
     if target_mbps <= 0:
@@ -216,7 +241,6 @@ def cbr_flow_for_target(
         size_bytes=size_bytes,
         rate_mbps=rate_mbps,
         interval_us=interval,
-        dest=dest,
     )
 
 

@@ -134,18 +134,17 @@ def throughput_series(
 ) -> list[float]:
     """Delivered payload Mbps of one flow per time bin.
 
-    A frame counts toward the bin its transmission starts in.
+    A frame counts toward the bin its transmission starts in, placed by
+    `mac.time_bins` as occupancy bins are.
     """
     if bin_ms <= 0:
         raise ConfigError("bin width must be > 0 ms")
     bin_us = bin_ms * 1000.0
     n_bins = max(1, int(trace.duration_us // bin_us))
     bits = [0.0] * n_bins
-    for r in trace.records:
-        if r.flow == flow and r.outcome == "delivered":
-            idx = int(r.t_start_us // bin_us)
-            if idx < n_bins:
-                bits[idx] += r.size_bytes * 8.0
+    ours = (r for r in trace.records if r.flow == flow and r.outcome == "delivered")
+    for idx, r in mac.time_bins(ours, bin_us, n_bins):
+        bits[idx] += r.size_bytes * 8.0
     return [b / bin_us for b in bits]  # bits per us == Mbps
 
 

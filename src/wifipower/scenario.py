@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -209,6 +210,10 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Config file parsing
 
+#: Station and harvester ids are written into CSV and trace fields, so
+#: they may not hold separators, spaces or comment marks.
+_SAFE_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
 _TOP_SCHEMA = {
     "duration_s": float,
     "seed": int,
@@ -317,18 +322,18 @@ def parse_scenario(text: str) -> Scenario:
                 section, target, schema = "router", rconf, _ROUTER_SCHEMA
             elif name == "mac":
                 section, target, schema = "mac", mconf, _MAC_SCHEMA
-            elif name == "station":
+            elif name in ("station", "harvester"):
                 if len(parts) != 2:
-                    raise ConfigError(f"line {lineno}: station section needs an id")
+                    raise ConfigError(f"line {lineno}: {name} section needs an id")
+                if not _SAFE_ID.fullmatch(parts[1]):
+                    raise ConfigError(
+                        f"line {lineno}: {name} id {parts[1]!r} may hold only "
+                        f"letters, digits, '_', '.' and '-'"
+                    )
                 target = {"_id": parts[1]}
-                pending.append(("station", target, lineno))
-                section, schema = "station", _STATION_SCHEMA
-            elif name == "harvester":
-                if len(parts) != 2:
-                    raise ConfigError(f"line {lineno}: harvester section needs an id")
-                target = {"_id": parts[1]}
-                pending.append(("harvester", target, lineno))
-                section, schema = "harvester", _HARVESTER_SCHEMA
+                pending.append((name, target, lineno))
+                section = name
+                schema = _STATION_SCHEMA if name == "station" else _HARVESTER_SCHEMA
             else:
                 raise ConfigError(f"line {lineno}: unknown section [{header}]")
             if name in ("router", "mac"):
@@ -576,23 +581,18 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
 
 def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     kind = "client_data" if via_router else "neighbor_data"
-    dest = st.station_id if via_router else f"{st.station_id}_cli"
-    name = st.station_id if via_router else st.station_id
+    name = st.station_id
     if st.traffic == "udp_cbr":
-        return mac.cbr_flow_for_target(
-            name, kind, st.target_mbps, rate_mbps=st.rate_mbps, dest=dest
-        )
+        return mac.cbr_flow_for_target(name, kind, st.target_mbps, rate_mbps=st.rate_mbps)
     if st.traffic == "backlogged":
         return mac.FlowSpec(
-            name=name, kind=kind, pacing="backlogged",
-            rate_mbps=st.rate_mbps, dest=dest,
+            name=name, kind=kind, pacing="backlogged", rate_mbps=st.rate_mbps,
         )
     if st.traffic == "burst":
         # the burst's bytes all queue at the start of its on-window
         frames = max(1, math.ceil(st.burst_bytes / 1500))
         return mac.FlowSpec(
-            name=name, kind=kind, pacing="burst",
-            rate_mbps=st.rate_mbps, dest=dest,
+            name=name, kind=kind, pacing="burst", rate_mbps=st.rate_mbps,
             frames_per_burst=frames,
             period_us=st.burst_period_ms() * 1000.0,
             start_us=st.start_ms * 1000.0,
@@ -614,28 +614,16 @@ def occupancy_bins(
 ) -> tuple[list[float], list[float]]:
     """Bin start times (ms) and `mac.occupancy` of each bin, in one pass.
 
-    Bin i is the window (i*bin_us, (i+1)*bin_us); a record lands in it by
-    the same edge test and order of summation `mac.occupancy` uses, so
-    every value equals `mac.occupancy` of that window float for float.
+    Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.time_bins` places
+    each record by the edge test `mac.occupancy` uses, and sums keep its
+    order, so every value equals `mac.occupancy` of that window float
+    for float.
     """
     bin_us = bin_ms * 1000.0
     n = max(1, int(trace.duration_us // bin_us))
     starts = [i * bin_ms for i in range(n)]
     totals = [0.0] * n
-    end = n * bin_us
-    i, lo, hi = 0, 0.0, bin_us  # the bin of the previous record
-    for r in trace.records:
-        t = r.t_start_us
-        if not lo <= t < hi:
-            if not 0.0 <= t < end:
-                continue
-            # floor division can land one bin off the edges i * bin_us
-            i = min(int(t // bin_us), n - 1)
-            while i * bin_us > t:
-                i -= 1
-            while (i + 1) * bin_us <= t:
-                i += 1
-            lo, hi = i * bin_us, (i + 1) * bin_us
+    for i, r in mac.time_bins(trace.records, bin_us, n):
         totals[i] += r.payload_airtime_us
     vals = [
         totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))

@@ -51,6 +51,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    "[station n,1]\nrole = neighbor_ap\nchannel = 6",
+    "[station a b]\nrole = neighbor_ap\nchannel = 6",
+    "[harvester h/1]\nkind = temp_battery_free\ndistance_ft = 10",
+    "[harvester h;1]\nkind = temp_battery_free\ndistance_ft = 10",
+])
+def test_unsafe_id_exits_2_with_its_line(tmp_path, capsys, section):
+    cfg = write_cfg(tmp_path, BASIC + "\n" + section + "\n")
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    line = BASIC.count("\n") + 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "missing.cfg")])
     assert rc == 2

@@ -106,7 +106,7 @@ def test_airtime_fairness_ratio():
 
 def run_single_backlogged(rate_mbps: float, seed: int = 1, dur: float = 5e6):
     flow = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                        rate_mbps=rate_mbps, dest="x")
+                        rate_mbps=rate_mbps)
     st = mac.StationSpec("a", 6, flows=(flow,))
     return mac.run_mac([st], duration_us=dur, seed=seed)[6]
 
@@ -131,9 +131,9 @@ def test_single_backlogged_cycle_accounting():
 
 def test_two_identical_backlogged_stations_fair():
     f1 = mac.FlowSpec(name="f1", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0, dest="x")
+                      rate_mbps=54.0)
     f2 = mac.FlowSpec(name="f2", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0, dest="y")
+                      rate_mbps=54.0)
     stations = [
         mac.StationSpec("a", 6, flows=(f1,)),
         mac.StationSpec("b", 6, flows=(f2,)),
@@ -151,7 +151,7 @@ def test_n_station_fairness():
         mac.StationSpec(
             f"s{i}", 6,
             flows=(mac.FlowSpec(name=f"f{i}", kind="neighbor_data",
-                                pacing="backlogged", rate_mbps=54.0, dest="x"),),
+                                pacing="backlogged", rate_mbps=54.0),),
         )
         for i in range(n)
     ]
@@ -169,7 +169,7 @@ def test_no_overlap_except_collisions():
     pol = router.PowerPolicy()
     st1 = mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True)
     f2 = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=24.0, dest="x")
+                      rate_mbps=24.0)
     st2 = mac.StationSpec("n", 6, flows=(f2,))
     tr = mac.run_mac([st1, st2], duration_us=5e6, seed=3)[6]
     events = sorted(tr.records, key=lambda r: r.t_start_us)
@@ -185,7 +185,7 @@ def test_collided_broadcasts_are_lost_not_retried():
     pol = router.PowerPolicy()
     st1 = mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True)
     f2 = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0, dest="x")
+                      rate_mbps=54.0)
     st2 = mac.StationSpec("n", 6, flows=(f2,))
     tr = mac.run_mac([st1, st2], duration_us=5e6, seed=3)[6]
     stats = tr.flow_stats["r.power"]
@@ -207,12 +207,12 @@ def test_determinism_and_seed_sensitivity():
 def test_station_substreams_independent_of_other_channels():
     # adding stations on other channels must not perturb this channel
     f = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                     rate_mbps=54.0, dest="x")
+                     rate_mbps=54.0)
     base = [mac.StationSpec("a", 6, flows=(f,))]
     extra = base + [
         mac.StationSpec("z", 1, flows=(mac.FlowSpec(
             name="z", kind="neighbor_data", pacing="backlogged",
-            rate_mbps=54.0, dest="q"),))
+            rate_mbps=54.0),))
     ]
     tr1 = mac.run_mac(base, duration_us=2e6, seed=4)[6]
     tr2 = mac.run_mac(extra, duration_us=2e6, seed=4)[6]
@@ -232,7 +232,7 @@ def test_invalid_station_config_rejected():
     with pytest.raises(ConfigError):
         mac.StationSpec("", 6)
     f = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                     rate_mbps=54.0, dest="x")
+                     rate_mbps=54.0)
     with pytest.raises(ConfigError):
         mac.run_mac([mac.StationSpec("a", 6, flows=(f,))] * 2, duration_us=1e6)
 

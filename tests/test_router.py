@@ -102,7 +102,7 @@ def test_gate_admission_monotone_under_client_load():
     # heavier client load leaves fewer admission slots for power packets
     admitted = []
     for target in (5.0, 15.0, 30.0, 54.0):
-        client = mac.cbr_flow_for_target("c", "client_data", target, dest="cli")
+        client = mac.cbr_flow_for_target("c", "client_data", target)
         pol = router.configure_scheme(router.Scheme("PoWiFi"))[1]
         st = mac.StationSpec("r", 1, flows=(client, router.power_flow_spec("r", pol)),
                              is_ap=True)
@@ -113,7 +113,7 @@ def test_gate_admission_monotone_under_client_load():
 
 def test_burst_completion_times():
     flow = mac.FlowSpec(name="web", kind="client_data", pacing="burst",
-                        rate_mbps=54.0, dest="cli", frames_per_burst=20,
+                        rate_mbps=54.0, frames_per_burst=20,
                         period_us=500_000.0)
     st = mac.StationSpec("r", 1, flows=(flow,), is_ap=True)
     tr = mac.run_mac([st], duration_us=5e6, seed=6)[1]

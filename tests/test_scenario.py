@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wifipower import mac, rf, scenario
+from wifipower import mac, rf, router, scenario
 from wifipower.errors import ConfigError, TraceFormatError
 
 MINIMAL = """
@@ -292,6 +292,17 @@ def test_occupancy_bins_equal_per_bin_occupancy(bin_ms):
     # in start-time order, as the engine records them
     trace.records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
     assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
+
+
+def test_throughput_and_occupancy_bins_place_a_frame_alike():
+    # at 0.3333 ms, int(1666.5 // 333.3) is 4 but 5 * 333.3 == 1666.5
+    rec = mac.FrameRecord(1666.5, 6, "r", "client_data", 1500, 54.0,
+                          "delivered", 12000.0 / 54.0, 300.0, "f")
+    trace = mac.ChannelTrace(channel=6, duration_us=3000.0, records=[rec])
+    tput = router.throughput_series(trace, "f", 0.3333)
+    _, occ = scenario.occupancy_bins(trace, 0.3333)
+    assert [i for i, v in enumerate(tput) if v] == [5]
+    assert [i for i, v in enumerate(occ) if v] == [5]
 
 
 def test_occupancy_bins_window_shorter_than_a_bin():
