@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import fcc, rf
-from .units import Distance, Frequency, GainDbi, PowerDbm, PowerMw, dbm_to_mw, mw_to_dbm
+from .units import (
+    Distance, Frequency, GainDbi, PowerDbm, PowerMw, dbm_to_mw, mw_to_dbm, sum_in_order,
+)
 
 # ---------------------------------------------------------------------------
 # Component models
@@ -649,7 +651,7 @@ def duty_envelope(
         if b - a <= 0:
             continue
         mid = 0.5 * (a + b)
-        mw = sum(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
+        mw = sum_in_order(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
         p = mw_to_dbm(PowerMw(mw)) if mw > 0 else PowerDbm(-math.inf)
         segments.append((b - a, p))
     return segments
@@ -657,7 +659,7 @@ def duty_envelope(
 
 def mean_transfer_power_w(segments: Sequence[Segment], cfg: HarvesterConfig) -> float:
     """Time-average DC power entering storage over one envelope period."""
-    total_t = sum(dt for dt, _ in segments)
+    total_t = sum_in_order(dt for dt, _ in segments)
     if total_t <= 0:
         raise ValueError("envelope has zero duration")
     acc = 0.0
@@ -686,7 +688,7 @@ def run_envelope(
     """
     if state is None:
         state = new_state(cfg)
-    period = sum(dt for dt, _ in segments)
+    period = sum_in_order(dt for dt, _ in segments)
     if period <= 0:
         raise ValueError("envelope has zero duration")
     end_t = state.t_s + duration_s
@@ -699,13 +701,13 @@ def run_envelope(
     # (seconds, transfer watts) of each segment, worked out once per run
     walk = [(dt_s, transfer_power_w(p, cfg)) for dt_s, p in segments]
     nets = [w - store.leakage_w for _, w in walk]
-    d_period = sum(n * s[0] for n, s in zip(nets, segments))
+    d_period = sum_in_order(n * s[0] for n, s in zip(nets, segments))
     prefix = prefix_max = prefix_min = 0.0
     for n, (dt_s, _) in zip(nets, segments):
         prefix += n * dt_s
         prefix_max = max(prefix_max, prefix)
         prefix_min = min(prefix_min, prefix)
-    harvest_period = sum(w * dt_s for dt_s, w in walk)
+    harvest_period = sum_in_order(w * dt_s for dt_s, w in walk)
 
     levels = _store_levels(store)
     e_floor, e_cut, e_act = levels
@@ -852,8 +854,9 @@ def max_operating_range(
     the storage leakage (the store then eventually reaches the boot
     voltage). Battery-assisted: the average rectified power must exceed
     the converter's quiescent draw (the energy-neutral update rate is
-    then positive). Found by bisection on the link budget; returns a
-    zero Distance when even point-blank operation is unsustainable.
+    then positive). Found by bisection on the link budget, at most 80
+    steps and none once the bounds are adjacent doubles; returns a zero
+    Distance when even point-blank operation is unsustainable.
 
     `duty` is the per-channel busy fraction; `channels` is the set the
     harvester draws from, so a single-channel harvester passes one.
@@ -881,6 +884,8 @@ def max_operating_range(
     lo, hi = rf.MIN_RANGE_M, hi_m
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent doubles: no later step can move lo
         if sustainable(mid):
             lo = mid
         else:

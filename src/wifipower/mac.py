@@ -16,6 +16,15 @@ power-packet source hold a quiet channel near-continuously while still
 degrading gracefully to fair per-frame contention the moment any other
 station has traffic.
 
+The engine steps from one channel event to the next. Two shortcuts
+keep it cheap without changing any output. A station pulls its frame
+arrivals only while it has no frame in service (its queue depth cannot
+fall until it takes its next frame, so every gate decision comes out
+the same as at the arrival instant). And a backoff is drawn straight
+from the station's `getrandbits` with the rejection loop that
+`random.Random.randrange` runs, so the stream is bit-identical to
+`randrange(cw + 1)`.
+
 Occupancy is accounted exactly like the standard capture-analysis
 pipeline: the payload airtime of a frame is size * 8 / rate and the
 occupancy of a window is the summed payload airtime of the frames
@@ -32,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, TraceFormatError
+from .units import sum_in_order
 
 #: PHY bit rates accepted for frames, in Mbps. The 802.11b/g basic and
 #: OFDM set, plus 16 Mbps which appears as a comparison point in the
@@ -167,7 +177,7 @@ def cumulative_occupancy(
     traces: Iterable[ChannelTrace], window: tuple[float, float]
 ) -> float:
     """Sum of per-channel occupancies; can exceed 1.0 across channels."""
-    return sum(occupancy(tr, window) for tr in traces)
+    return sum_in_order(occupancy(tr, window) for tr in traces)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +343,9 @@ class _FlowRt:
 
 class _StationRt:
     __slots__ = (
-        "station_id", "flows", "backlogged", "rng", "rr", "head",
-        "ready_since", "backoff_slots", "cw", "retries", "queued", "next_t",
+        "station_id", "flows", "backlogged", "getrandbits", "rr", "head",
+        "ready_since", "backoff_slots", "expiry", "cw", "retries", "queued",
+        "next_t",
     )
 
     def __init__(self, spec: StationSpec, master_seed: int, params: MacParams):
@@ -352,41 +363,53 @@ class _StationRt:
             )
         self.flows = [_FlowRt(f, params) for f in flows]
         self.backlogged = any(fl.backlogged for fl in self.flows)
-        self.rng = random.Random(station_seed(master_seed, spec.station_id))
+        self.getrandbits = random.Random(
+            station_seed(master_seed, spec.station_id)
+        ).getrandbits
         self.rr = 0
         self.head: Optional[_FlowRt] = None  # flow of the frame in service
         self.ready_since = 0.0
         self.backoff_slots: Optional[int] = None
+        self.expiry = math.inf  # backoff expiry in the current contention round
         self.cw = params.cw_min
         self.retries = 0
         self.queued = 0  # admitted frames waiting (excludes the head in service)
+        # next unpulled arrival; current only while the station has no head
         self.next_t = min((fl.next_arrival for fl in self.flows), default=math.inf)
 
     def pull_arrivals(self, up_to: float) -> None:
         """Emit every arrival at or before `up_to`, in time order.
 
-        The admission gate sees the station's live total queue depth at
-        each arrival instant, so interleaved flows interact correctly.
+        The admission gate sees the station's total queue depth as it
+        was at each arrival instant, so interleaved flows interact
+        correctly: the engine pulls only while the station is idle, and
+        the depth cannot fall before the station takes its next frame.
         Nothing leaves the queue during a pull, so the depth only grows:
         once a flow's gate is shut, all its arrivals up to `up_to` drop.
         """
         flows = self.flows
+        queued = self.queued
         while True:
             best = flows[0]
+            t_next = best.next_arrival
             for fl in flows:
-                if fl.next_arrival < best.next_arrival:
+                if fl.next_arrival < t_next:
                     best = fl
-            if best.next_arrival > up_to:
-                self.next_t = best.next_arrival
+                    t_next = fl.next_arrival
+            if t_next > up_to:
+                self.queued = queued
+                self.next_t = t_next
                 return
-            if gate_admits(self.queued, best.gate):
-                for _ in range(best.per_step):
-                    if gate_admits(self.queued, best.gate):
-                        best.queued += 1
-                        best.admitted += 1
-                        self.queued += 1
-                    else:
-                        best.dropped_gate += 1
+            gate = best.gate
+            if gate_admits(queued, gate):
+                # the depth only grows, so a burst admits a prefix
+                n = 1
+                while n < best.per_step and gate_admits(queued + n, gate):
+                    n += 1
+                best.queued += n
+                best.admitted += n
+                best.dropped_gate += best.per_step - n
+                queued += n
                 best.emitted += 1
             else:
                 best.drop_through(up_to)
@@ -400,11 +423,14 @@ class _StationRt:
         """
         flows = self.flows
         n = len(flows)
-        for k in range(n):
-            i = (self.rr + k) % n
+        i = self.rr
+        for _ in range(n):
             fl = flows[i]
+            i += 1
+            if i == n:
+                i = 0
             if fl.queued or fl.backlogged:
-                self.rr = (i + 1) % n
+                self.rr = i
                 if fl.queued:
                     fl.queued -= 1
                     self.queued -= 1
@@ -413,19 +439,46 @@ class _StationRt:
                 self.retries = 0
                 return
 
+    def draw_backoff(self) -> int:
+        """A uniform backoff in [0, cw] slots, drawn the way
+        `random.Random.randrange(cw + 1)` draws it: take
+        `(cw + 1).bit_length()` bits and redraw while the value exceeds
+        cw. The stream is bit-identical to `randrange`'s without going
+        through its generic argument checks."""
+        cw = self.cw
+        k = (cw + 1).bit_length()
+        r = self.getrandbits(k)
+        while r > cw:
+            r = self.getrandbits(k)
+        return r
 
-def _ready_at(stations: list[_StationRt], t: float) -> list[_StationRt]:
-    """Pull the arrivals due by `t`, then list the stations with a frame
-    to send at `t`, in station order."""
+
+def _ready_at(
+    stations: list[_StationRt], t: float
+) -> tuple[list[_StationRt], float]:
+    """The stations with a frame to send at `t`, in station order, and
+    the earliest arrival at a station that stays idle (inf if none).
+
+    Only a station without a head pulls its arrivals due by `t` and
+    takes a head. A station with a frame in service keeps its queue
+    depth until it next takes a head (only `take_head` lowers it), so
+    its gate decides each pending arrival the same way whenever the
+    arrival is pulled before that point; its `next_t` goes stale
+    meanwhile and nothing reads it.
+    """
     ready = []
+    t_arr = math.inf
     for st in stations:
-        if st.next_t <= t:
-            st.pull_arrivals(t)
-        if st.head is None and (st.queued or st.backlogged):
+        if st.head is None:
+            if st.next_t <= t:
+                st.pull_arrivals(t)
+            if not (st.queued or st.backlogged):
+                if st.next_t < t_arr:
+                    t_arr = st.next_t
+                continue
             st.take_head(t)
-        if st.head is not None:
-            ready.append(st)
-    return ready
+        ready.append(st)
+    return ready, t_arr
 
 
 def run_mac(
@@ -464,7 +517,7 @@ def _run_channel(
 ) -> ChannelTrace:
     stations = [_StationRt(s, seed, params) for s in specs]
     trace = ChannelTrace(channel=channel, duration_us=duration_us)
-    records = trace.records
+    append_record = trace.records.append
     difs = params.difs_us
     slot = params.slot_us
     t = 0.0
@@ -473,9 +526,9 @@ def _run_channel(
     last_broadcast = False
 
     while t < duration_us:
-        ready = _ready_at(stations, t)
+        ready, t_arr = _ready_at(stations, t)
         if not ready:
-            t = min(st.next_t for st in stations)
+            t = t_arr
             if t >= duration_us:
                 break
             continue
@@ -498,31 +551,28 @@ def _run_channel(
                 t_win = math.inf
                 for st in ready:
                     if st.backoff_slots is None:
-                        st.backoff_slots = st.rng.randrange(st.cw + 1)
+                        st.backoff_slots = st.draw_backoff()
                     origin = t if t >= st.ready_since else st.ready_since
-                    e = origin + difs + st.backoff_slots * slot
+                    e = st.expiry = origin + difs + st.backoff_slots * slot
                     if e < t_win:
                         t_win = e
-                t_arr = math.inf
-                for st in stations:
-                    if st.head is None and st.next_t < t_arr:
-                        t_arr = st.next_t
                 if t_arr < t_win and t_arr < duration_us:
-                    ready = _ready_at(stations, t_arr)
+                    ready, t_arr = _ready_at(stations, t_arr)
                     continue
                 break
             if t_win >= duration_us:
                 break
             winners = []
             for st in ready:
-                origin = t if t >= st.ready_since else st.ready_since
-                if origin + difs + st.backoff_slots * slot == t_win:
+                if st.expiry == t_win:
                     winners.append(st)
                 else:
                     # Losers freeze whatever whole slots they have not used.
+                    origin = t if t >= st.ready_since else st.ready_since
                     consumed = int((t_win - origin - difs) / slot)
                     if consumed > 0:
-                        st.backoff_slots = max(0, st.backoff_slots - consumed)
+                        left = st.backoff_slots - consumed
+                        st.backoff_slots = left if left > 0 else 0
             t_start = t_win
 
         collision = len(winners) > 1
@@ -531,7 +581,7 @@ def _run_channel(
         for st in winners:
             fl = st.head
             busy = fl.busy_collided_us if collision else fl.busy_delivered_us
-            records.append(
+            append_record(
                 FrameRecord(
                     t_start, channel, st.station_id, fl.kind, fl.size_bytes,
                     fl.rate_mbps, outcome, fl.payload_us, busy, fl.name,

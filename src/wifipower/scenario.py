@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
 from .errors import ConfigError
-from .units import Distance, Frequency, GainDbi, PowerDbm
+from .units import Distance, Frequency, GainDbi, PowerDbm, sum_in_order
 
 DEFAULT_MAC_WINDOW_S = 60.0
 ENVELOPE_PERIOD_S = 0.010
@@ -466,7 +466,7 @@ class ReportSet:
     def cumulative_bins(self) -> list[float]:
         out = []
         for i in range(len(self.bin_starts_ms)):
-            out.append(sum(self.occupancy_bins[ch][i] for ch in self.occupancy_bins))
+            out.append(sum_in_order(self.occupancy_bins[ch][i] for ch in self.occupancy_bins))
         return out
 
     # -- outputs ------------------------------------------------------------
@@ -511,7 +511,7 @@ class ReportSet:
         for flow in sorted(self.burst_completions_ms):
             comps = self.burst_completions_ms[flow]
             if comps:
-                mean = sum(comps) / len(comps)
+                mean = sum_in_order(comps) / len(comps)
                 lines.append(f"burst_completion_ms.{flow}={mean:.6f}")
         for ch in sorted(self.power_stats):
             st = self.power_stats[ch]
@@ -669,7 +669,7 @@ def run(sc: Scenario) -> ReportSet:
         bin_starts = starts
         occ_bins[ch] = vals
         occ_mean[ch] = mac.occupancy(view, (0.0, window_us))
-    cumulative_mean = sum(occ_mean.values())
+    cumulative_mean = sum_in_order(occ_mean.values())
 
     throughput: dict[str, list[float]] = {}
     tput_mean: dict[str, float] = {}
@@ -683,7 +683,7 @@ def run(sc: Scenario) -> ReportSet:
             continue
         series = router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
         throughput[st.station_id] = series
-        tput_mean[st.station_id] = sum(series) / len(series) if series else 0.0
+        tput_mean[st.station_id] = sum_in_order(series) / len(series) if series else 0.0
         if st.traffic == "burst":
             frames = max(1, math.ceil(st.burst_bytes / 1500))
             bursts[st.station_id] = router.burst_completion_times_ms(
@@ -727,7 +727,7 @@ def run(sc: Scenario) -> ReportSet:
             "fires": float(len(fires)),
             "brown_outs": float(state.count("brown_out")),
             "update_rate_hz": len(fires) / sc.duration_s,
-            "mean_interval_s": (sum(gaps) / len(gaps)) if gaps else math.inf,
+            "mean_interval_s": (sum_in_order(gaps) / len(gaps)) if gaps else math.inf,
             "v_final": state.v_store(cfg),
             "harvested_j": state.harvested_j,
         }
@@ -827,7 +827,7 @@ def sweep(
                 metrics.setdefault(k, []).append(v)
         row: dict = {"value": value}
         for k, vals in sorted(metrics.items()):
-            row[f"{k}_mean"] = sum(vals) / len(vals)
+            row[f"{k}_mean"] = sum_in_order(vals) / len(vals)
             row[f"{k}_min"] = min(vals)
             row[f"{k}_max"] = max(vals)
         rows.append(row)
@@ -842,7 +842,7 @@ def _sweep_metrics(rep: ReportSet) -> dict[str, float]:
         out[f"tput.{flow}"] = v
     for flow, comps in rep.burst_completions_ms.items():
         if comps:
-            out[f"burst_ms.{flow}"] = sum(comps) / len(comps)
+            out[f"burst_ms.{flow}"] = sum_in_order(comps) / len(comps)
     for hid, summ in rep.harvester_summary.items():
         out[f"update_hz.{hid}"] = summ["update_rate_hz"]
         if math.isfinite(summ["mean_interval_s"]):

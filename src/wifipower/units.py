@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 FEET_PER_METER = 1.0 / 0.3048
 
@@ -169,3 +170,19 @@ def sum_linear(ps: list[PowerDbm]) -> PowerDbm:
     for p in ps:
         total += dbm_to_mw(p).value
     return mw_to_dbm(PowerMw(total))
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add the values left to right, one rounding per addition.
+
+    Since CPython 3.12 the builtin `sum` of floats compensates for
+    rounding error (`sum([1e16, 1.0, -1e16])` is 1.0 there and 0.0 on
+    3.10 and 3.11), so its last bits depend on the interpreter. Every
+    float total that reaches a report goes through this helper instead,
+    which keeps the outputs byte-identical across versions. Like `sum`,
+    it starts from the integer 0, so an empty input gives 0.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total

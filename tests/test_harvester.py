@@ -313,6 +313,53 @@ def test_max_operating_range_monotone_in_sensitivity():
     assert d_better.meters >= d_worse.meters
 
 
+def _full_bisection_m(cfg, duty, channels, wall):
+    """max_operating_range's bisection run for all 80 steps."""
+    eirp = fcc.plan_eirp(PLAN)
+
+    def sustainable(d_m):
+        chp = []
+        for ch in channels:
+            link = rf.LinkGeometry(Distance(d_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), wall)
+            chp.append((rf.received_power(eirp, GainDbi(2.0), link), duty))
+        mean_in = hv.mean_transfer_power_w(hv.duty_envelope(chp), cfg)
+        if isinstance(cfg.storage, hv.BatteryStore):
+            return mean_in - cfg.dcdc.quiescent_w > 0.0
+        return mean_in - cfg.storage.leakage_w > 0.0
+
+    assert sustainable(rf.MIN_RANGE_M) and not sustainable(100.0)
+    lo, hi = rf.MIN_RANGE_M, 100.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sustainable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(
+    "make, duty, wall, channels",
+    [
+        (hv.battery_free_temp_sensor, 0.9, rf.WallMaterial.NONE, (1, 6, 11)),
+        (hv.battery_free_temp_sensor, 0.3, rf.WallMaterial.WOODEN_DOOR, (6,)),
+        (hv.battery_temp_sensor, 0.9, rf.WallMaterial.DOUBLE_PANE_GLASS, (1, 6, 11)),
+        (hv.battery_temp_sensor, 0.5, rf.WallMaterial.DOUBLE_SHEETROCK, (11,)),
+    ],
+)
+def test_max_operating_range_stops_early_with_the_same_float(
+    monkeypatch, make, duty, wall, channels
+):
+    cfg = make()
+    full = _full_bisection_m(cfg, duty, channels, wall)
+    calls = []
+    envelope = hv.duty_envelope
+    monkeypatch.setattr(hv, "duty_envelope", lambda *a: calls.append(1) or envelope(*a))
+    d = hv.max_operating_range(PLAN, cfg, duty=duty, channels=channels, wall=wall)
+    assert d.meters == full
+    assert len(calls) < 82  # two end checks plus fewer than 80 steps
+
+
 def test_max_operating_range_zero_duty_is_zero():
     d = hv.max_operating_range(PLAN, hv.battery_free_temp_sensor(), duty=0.0)
     assert d.meters == 0.0

@@ -253,6 +253,40 @@ def test_every_arrival_in_the_window_is_admitted_or_dropped(seed, interval_us):
     assert stats.admitted + stats.dropped_gate == math.ceil(window / interval_us)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("power_us, cbr_us", [(100.0, 250.0), (33.3, 333.3)])
+def test_arrival_identity_holds_for_flows_losing_contention(seed, power_us, cbr_us):
+    # A router with a frame in service pulls its arrivals only once it is
+    # idle again; the gate must still see every arrival in the window.
+    window = 300_000.0
+    pol = router.PowerPolicy(inter_packet_delay_us=power_us)
+    cbr = mac.FlowSpec(name="c", kind="client_data", pacing="cbr", interval_us=cbr_us)
+    neighbor = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged")
+    stations = [
+        mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol), cbr), is_ap=True),
+        mac.StationSpec("n", 6, flows=(neighbor,)),
+        mac.StationSpec("m", 6, flows=(neighbor,)),
+    ]
+    tr = mac.run_mac(stations, duration_us=window, seed=seed)[6]
+    power, client = tr.flow_stats["r.power"], tr.flow_stats["c"]
+    assert power.dropped_gate > 0
+    assert client.delivered < client.admitted  # the router's queue backs up
+    assert power.admitted + power.dropped_gate == math.ceil(window / power_us)
+    assert client.dropped_gate == 0
+    assert client.admitted == math.ceil(window / cbr_us)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_backoff_draw_is_the_randrange_stream(seed):
+    st = mac._StationRt(mac.StationSpec("s", 6), seed, mac.MacParams())
+    ref = random.Random(mac.station_seed(seed, "s"))
+    order = random.Random(seed)
+    cws = [(1 << k) - 1 for k in range(4, 11)]  # 15, 31, ..., 1023
+    for _ in range(2000):
+        st.cw = order.choice(cws)
+        assert st.draw_backoff() == ref.randrange(st.cw + 1)
+
+
 def test_oversized_data_flow_rejected_at_the_spec():
     with pytest.raises(ConfigError, match="1500 bytes"):
         mac.FlowSpec(name="f", kind="client_data", pacing="backlogged", size_bytes=1501)

@@ -12,6 +12,7 @@ from wifipower.units import (
     PowerMw,
     dbm_to_mw,
     mw_to_dbm,
+    sum_in_order,
     sum_linear,
 )
 
@@ -111,3 +112,12 @@ def test_distance_and_frequency_validation():
         Frequency(0.0)
     # zero distance is the documented no-range sentinel
     assert Distance(0.0).meters == 0.0
+
+
+def test_sum_in_order_adds_left_to_right():
+    # the builtin sum gives 1.0 here from CPython 3.12 on (compensated)
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order([0.1] * 10) == 0.9999999999999999
+    assert sum_in_order(iter([1.5, 2.25])) == 3.75
+    empty = sum_in_order([])
+    assert empty == 0 and type(empty) is int
