@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import fcc, rf
 from .units import (
-    Distance, Frequency, GainDbi, PowerDbm, PowerMw, dbm_to_mw, mw_to_dbm, sum_in_order,
+    Distance, Frequency, GainDbi, PowerDbm, dbm_to_mw, mw_sum_dbm, sum_in_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -589,13 +589,9 @@ def incident_power(
     """
     if len(channel_busy) != len(per_channel_rx):
         raise ValueError("busy flags and rx powers must align")
-    total_mw = 0.0
-    for busy, p in zip(channel_busy, per_channel_rx):
-        if busy:
-            total_mw += dbm_to_mw(p).value
-    if total_mw <= 0.0:
-        return PowerDbm(-math.inf)
-    return mw_to_dbm(PowerMw(total_mw))
+    return mw_sum_dbm(
+        dbm_to_mw(p).value for busy, p in zip(channel_busy, per_channel_rx) if busy
+    )
 
 
 def energy_neutral_update_rate(p_harvest_w: float, load: SensorLoad) -> float:
@@ -651,8 +647,7 @@ def duty_envelope(
         if b - a <= 0:
             continue
         mid = 0.5 * (a + b)
-        mw = sum_in_order(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
-        p = mw_to_dbm(PowerMw(mw)) if mw > 0 else PowerDbm(-math.inf)
+        p = mw_sum_dbm(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
         segments.append((b - a, p))
     return segments
 

@@ -135,16 +135,14 @@ def throughput_series(
     """Delivered payload Mbps of one flow per time bin.
 
     A frame counts toward the bin its transmission starts in, placed by
-    `mac.time_bins` as occupancy bins are.
+    `mac.bin_sums` as occupancy bins are.
     """
     if bin_ms <= 0:
         raise ConfigError("bin width must be > 0 ms")
     bin_us = bin_ms * 1000.0
     n_bins = max(1, int(trace.duration_us // bin_us))
-    bits = [0.0] * n_bins
-    ours = (r for r in trace.records if r.flow == flow and r.outcome == "delivered")
-    for idx, r in mac.time_bins(ours, bin_us, n_bins):
-        bits[idx] += r.size_bytes * 8.0
+    frame_bits = _per_code(trace, flow, lambda row: row.size_bytes * 8.0)
+    bits, _ = mac.bin_sums(trace, frame_bits, bin_us, n_bins)
     return [b / bin_us for b in bits]  # bits per us == Mbps
 
 
@@ -158,16 +156,17 @@ def burst_completion_times_ms(
     """
     if period_us <= 0 or frames_per_burst < 1:
         raise ConfigError("burst period and size must be positive")
+    busy = _per_code(trace, flow, lambda row: row.busy_time_us)
     done: dict[int, tuple[int, float]] = {}
-    for r in trace.records:
-        if r.flow != flow or r.outcome != "delivered":
+    for t, c in zip(trace.starts, trace.codes):
+        if busy[c] is None:
             continue
         # Frames of burst k are issued at exactly k*period; attribute by
         # issue order since delivery order preserves FIFO within a flow.
         k_seen = done.setdefault(-1, (0, 0.0))[0]
         burst_idx = k_seen // frames_per_burst
         done[-1] = (k_seen + 1, 0.0)
-        end = r.t_start_us + r.busy_time_us
+        end = t + busy[c]
         prev = done.get(burst_idx, (0, 0.0))
         done[burst_idx] = (prev[0] + 1, max(prev[1], end))
     out = []
@@ -176,3 +175,12 @@ def burst_completion_times_ms(
         if n == frames_per_burst:
             out.append((end - k * period_us) / 1000.0)
     return out
+
+
+def _per_code(trace: mac.ChannelTrace, flow: str, value) -> list:
+    """`value(row)` for each trace code of a delivered frame of `flow`,
+    None for every other code."""
+    return [
+        value(row) if row.flow == flow and row.outcome == "delivered" else None
+        for row in trace.rows
+    ]

@@ -21,7 +21,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
 from .errors import ConfigError
@@ -525,20 +525,27 @@ class ReportSet:
                     lines.append(f"harvester.{hid}.{k}={v}")
         return "\n".join(lines) + "\n"
 
+    def trace_chunks(self) -> Iterator[str]:
+        """The trace export one channel at a time, in channel order."""
+        for ch in sorted(self.traces):
+            yield mac.export_trace([self.traces[ch]])
+
     def trace_text(self) -> str:
-        return mac.export_trace(self.traces.values())
+        return "".join(self.trace_chunks())
 
     def write_outputs(self, out_dir: str) -> None:
+        """Write the five reports; trace.txt is written chunk by chunk,
+        so the whole trace is never one string."""
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in (
-            ("occupancy.csv", self.occupancy_csv()),
-            ("throughput.csv", self.throughput_csv()),
-            ("harvester.csv", self.harvester_csv()),
-            ("summary.txt", self.summary_text()),
-            ("trace.txt", self.trace_text()),
+        for name, chunks in (
+            ("occupancy.csv", [self.occupancy_csv()]),
+            ("throughput.csv", [self.throughput_csv()]),
+            ("harvester.csv", [self.harvester_csv()]),
+            ("summary.txt", [self.summary_text()]),
+            ("trace.txt", self.trace_chunks()),
         ):
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
 
 
 def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]]:
@@ -600,36 +607,45 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     raise ConfigError(f"station {st.station_id!r} has no traffic")
 
 
-def _router_view(trace: mac.ChannelTrace, router_ids: tuple[str, ...]) -> mac.ChannelTrace:
-    keep = set(router_ids)
-    return mac.ChannelTrace(
-        channel=trace.channel,
-        duration_us=trace.duration_us,
-        records=[r for r in trace.records if r.station_id in keep],
-    )
+class OccupancyBins(tuple):
+    """`(bin starts in ms, occupancy of each bin)`, plus `payload_us`:
+    the payload airtime of the frames starting in (0, duration), summed
+    in the same pass and in frame order, as `mac.occupancy` of that
+    window sums it."""
+
+    payload_us: float
+
+    def __new__(cls, starts: list[float], values: list[float], payload_us: float):
+        self = super().__new__(cls, (starts, values))
+        self.payload_us = payload_us
+        return self
 
 
 def occupancy_bins(
-    trace: mac.ChannelTrace, bin_ms: float
-) -> tuple[list[float], list[float]]:
+    trace: mac.ChannelTrace, bin_ms: float, stations: Optional[Sequence[str]] = None
+) -> OccupancyBins:
     """Bin start times (ms) and `mac.occupancy` of each bin, in one pass.
 
-    Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.time_bins` places
-    each record by the edge test `mac.occupancy` uses, and sums keep its
+    Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.bin_sums` places
+    each frame by the edge test `mac.occupancy` uses and keeps frame
     order, so every value equals `mac.occupancy` of that window float
     for float.
+    `stations`, when given, keeps only the frames those stations sent.
     """
     bin_us = bin_ms * 1000.0
     n = max(1, int(trace.duration_us // bin_us))
+    keep = None if stations is None else set(stations)
+    payload = [
+        row.payload_airtime_us if keep is None or row.station_id in keep else None
+        for row in trace.rows
+    ]
+    totals, total = mac.bin_sums(trace, payload, bin_us, n)
     starts = [i * bin_ms for i in range(n)]
-    totals = [0.0] * n
-    for i, r in mac.time_bins(trace.records, bin_us, n):
-        totals[i] += r.payload_airtime_us
     vals = [
         totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))
         for i in range(n)
     ]
-    return starts, vals
+    return OccupancyBins(starts, vals, total)
 
 
 def harvest_duty(
@@ -643,10 +659,15 @@ def harvest_duty(
     the client's position, not the router's.
     """
     keep = set(router_ids)
+    # frames of other stations add 0.0, which leaves a sum from 0.0 as it is
+    on_air = [
+        min(row.busy_time_us, row.payload_airtime_us + phy_overhead_us)
+        if row.station_id in keep else 0.0
+        for row in trace.rows
+    ]
     on = 0.0
-    for r in trace.records:
-        if r.station_id in keep:
-            on += min(r.busy_time_us, r.payload_airtime_us + phy_overhead_us)
+    for c in trace.codes:
+        on += on_air[c]
     return min(1.0, on / trace.duration_us)
 
 
@@ -664,11 +685,9 @@ def run(sc: Scenario) -> ReportSet:
         tr = traces.get(ch)
         if tr is None:
             continue
-        view = _router_view(tr, router_ids)
-        starts, vals = occupancy_bins(view, sc.occupancy_bin_ms)
-        bin_starts = starts
-        occ_bins[ch] = vals
-        occ_mean[ch] = mac.occupancy(view, (0.0, window_us))
+        binned = occupancy_bins(tr, sc.occupancy_bin_ms, router_ids)
+        bin_starts, occ_bins[ch] = binned
+        occ_mean[ch] = binned.payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())
 
     throughput: dict[str, list[float]] = {}
@@ -699,20 +718,24 @@ def run(sc: Scenario) -> ReportSet:
     harv_events: dict[str, list[tuple[float, str, float]]] = {}
     harv_summary: dict[str, dict[str, float]] = {}
     eirp = fcc.plan_eirp(sc.router.tx_plan())
+    duties: dict[int, float] = {}  # each channel's duty, shared by its harvesters
     for h in sc.harvesters:
         cfg = h.config()
         chan_power = []
         for ch in h.channels:
-            tr = traces.get(ch)
-            duty = (
-                harvest_duty(tr, router_ids, sc.mac_params.phy_overhead_us)
-                if tr is not None
-                else 0.0
-            )
+            if ch not in duties:
+                tr = traces.get(ch)
+                duties[ch] = (
+                    harvest_duty(tr, router_ids, sc.mac_params.phy_overhead_us)
+                    if tr is not None
+                    else 0.0
+                )
             link = rf.LinkGeometry(
                 Distance(h.distance_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), h.wall
             )
-            chan_power.append((rf.received_power(eirp, GainDbi(h.g_rx_dbi), link), duty))
+            chan_power.append(
+                (rf.received_power(eirp, GainDbi(h.g_rx_dbi), link), duties[ch])
+            )
         if all(duty == 0.0 for _, duty in chan_power):
             state = hv.new_state(cfg)
             state.t_s = sc.duration_s

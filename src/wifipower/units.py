@@ -172,6 +172,16 @@ def sum_linear(ps: list[PowerDbm]) -> PowerDbm:
     return mw_to_dbm(PowerMw(total))
 
 
+def mw_sum_dbm(values_mw: Iterable[float]) -> PowerDbm:
+    """Milliwatt powers added left to right (`sum_in_order`), in dBm.
+
+    The total of powers arriving together at one receiver; a total of
+    zero (nothing on the air) is -inf dBm.
+    """
+    total = sum_in_order(values_mw)
+    return mw_to_dbm(PowerMw(total)) if total > 0 else PowerDbm(-math.inf)
+
+
 def sum_in_order(values: Iterable[float]) -> float:
     """Add the values left to right, one rounding per addition.
 

@@ -360,6 +360,43 @@ def test_export_trace_equals_line_by_line_format(seed):
     assert mac.export_trace([mac.ChannelTrace(6, 1.0)]) == ""
 
 
+def test_engine_builds_no_frame_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine built a FrameRecord")
+
+    want = {ch: (list(tr.starts), [tr.rows[c] for c in tr.codes])
+            for ch, tr in contended_traces(1).items()}
+    monkeypatch.setattr(mac, "FrameRecord", refuse)
+    traces = contended_traces(1)
+    assert {ch: (list(tr.starts), [tr.rows[c] for c in tr.codes])
+            for ch, tr in traces.items()} == want
+    assert sum(len(tr.starts) for tr in traces.values()) > 100
+
+
+def test_records_view_rebuilds_each_record():
+    recs = [
+        mac.FrameRecord(0.5, 6, "a", "beacon", 300, 1.0, "delivered", 2400.0, 2424.0, "a.beacon"),
+        mac.FrameRecord(3000.0, 6, "b", "client_data", 1500, 54.0, "collided", 1.5, 2.5),
+        mac.FrameRecord(3100.0, 6, "a", "beacon", 300, 1.0, "delivered", 2400.0, 2424.0, "a.beacon"),
+    ]
+    tr = mac.ChannelTrace(6, 5000.0, recs)
+    assert len(tr.records) == 3
+    assert list(tr.records) == recs
+    assert len(tr.rows) == 2 and list(tr.codes) == [0, 1, 0]
+
+
+def test_parse_trace_sorts_each_channel_stably():
+    text = ("30.5,6,b,beacon,300,1,delivered\n"
+            "1.25,6,a,beacon,300,1,collided\n"
+            "30.5,6,a,beacon,300,1,delivered\n"
+            "7.0,1,c,beacon,300,1,delivered\n")
+    parsed = mac.parse_trace(text)
+    assert [(r.t_start_us, r.station_id) for r in parsed[6].records] == [
+        (1.25, "a"), (30.5, "b"), (30.5, "a")]
+    assert [r.channel for r in parsed[1].records] == [1]
+    assert parsed[1].duration_us == parsed[6].duration_us == 30.5 + 2400.0
+
+
 def test_parse_trace_errors_carry_line_numbers():
     with pytest.raises(TraceFormatError, match="line 2"):
         mac.parse_trace("0.0,6,s,beacon,300,1,delivered\nnot,a,line\n")

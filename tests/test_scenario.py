@@ -290,7 +290,8 @@ def test_occupancy_bins_equal_per_bin_occupancy(bin_ms):
     trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
     assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
     # in start-time order, as the engine records them
-    trace.records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
+    records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
+    trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
     assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
 
 
@@ -319,10 +320,87 @@ def test_occupancy_bins_of_bundled_runs_equal_per_bin_occupancy():
     sc.mac_window_s = 0.5
     sc.occupancy_bin_ms = 33.3
     rep = scenario.run(sc)
+    keep = set(rep.router_station_ids)
     for ch, tr in rep.traces.items():
-        view = scenario._router_view(tr, rep.router_station_ids)
+        view = mac.ChannelTrace(ch, tr.duration_us,
+                                [r for r in tr.records if r.station_id in keep])
         assert scenario.occupancy_bins(view, 33.3) == _binned_reference(view, 33.3)
         assert rep.occupancy_bins[ch] == _binned_reference(view, 33.3)[1]
+
+
+@pytest.mark.parametrize("config", BUNDLED_CONFIGS)
+def test_trace_rebuilt_from_records_gives_the_same_reports(config):
+    # at the golden settings (own seed, 0.2 s MAC window), a trace rebuilt
+    # record by record from the engine's gets other codes but every
+    # metric and the export must come out the same
+    sc = scenario.load_scenario(scenario.bundled_config(config))
+    sc.mac_window_s = 0.2
+    specs, router_ids = scenario.build_stations(sc)
+    window_us = sc.effective_mac_window_s() * 1e6
+    traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
+    rebuilt = {ch: mac.ChannelTrace(ch, tr.duration_us, list(tr.records))
+               for ch, tr in traces.items()}
+    assert mac.export_trace(rebuilt.values()) == mac.export_trace(traces.values())
+    phy = sc.mac_params.phy_overhead_us
+    for ch, tr in traces.items():
+        again = rebuilt[ch]
+        for stations in (None, router_ids):
+            a = scenario.occupancy_bins(tr, sc.occupancy_bin_ms, stations)
+            b = scenario.occupancy_bins(again, sc.occupancy_bin_ms, stations)
+            assert (a, a.payload_us) == (b, b.payload_us)
+        assert mac.occupancy(tr, (0.0, window_us)) == mac.occupancy(again, (0.0, window_us))
+        assert (scenario.harvest_duty(tr, router_ids, phy)
+                == scenario.harvest_duty(again, router_ids, phy))
+        for st in sc.stations:
+            if st.traffic == "none" or st.channel != ch:
+                continue
+            assert (router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
+                    == router.throughput_series(again, st.station_id, sc.throughput_bin_ms))
+            for period_us, frames in ((st.burst_period_ms() * 1000.0 or 10_000.0, 3),):
+                assert (router.burst_completion_times_ms(tr, st.station_id, period_us, frames)
+                        == router.burst_completion_times_ms(again, st.station_id,
+                                                            period_us, frames))
+
+
+def test_router_occupancy_mean_equals_occupancy_of_router_frames():
+    sc = scenario.load_scenario(scenario.bundled_config("home_3.cfg"))
+    sc.mac_window_s = 0.5
+    rep = scenario.run(sc)
+    keep = set(rep.router_station_ids)
+    for ch, tr in rep.traces.items():
+        view = mac.ChannelTrace(ch, tr.duration_us,
+                                [r for r in tr.records if r.station_id in keep])
+        assert rep.occupancy_mean[ch] == mac.occupancy(view, (0.0, tr.duration_us))
+
+
+def test_harvest_duty_computed_once_per_channel(monkeypatch):
+    with open(scenario.bundled_config("powifi_default.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    text += "\n[harvester second]\nkind = temp_battery_free\ndistance_ft = 12\n"
+    sc = scenario.parse_scenario(text)
+    sc.mac_window_s = 0.2
+    calls = []
+    real = scenario.harvest_duty
+    monkeypatch.setattr(scenario, "harvest_duty",
+                        lambda tr, *a: calls.append(tr.channel) or real(tr, *a))
+    rep = scenario.run(sc)
+    assert len(sc.harvesters) == 2
+    assert sorted(calls) == sorted(set(calls)) == sorted(rep.traces)
+    one = scenario.parse_scenario(text.rsplit("[harvester second]", 1)[0])
+    one.mac_window_s = 0.2
+    first = sc.harvesters[0].harvester_id
+    assert rep.harvester_summary[first] == scenario.run(one).harvester_summary[first]
+
+
+def test_write_outputs_streams_the_trace_text(tmp_path):
+    sc = scenario.load_scenario(scenario.bundled_config("home_2.cfg"))
+    sc.mac_window_s = 0.2
+    rep = scenario.run(sc)
+    chunks = list(rep.trace_chunks())
+    assert len(chunks) == len(rep.traces)
+    assert "".join(chunks) == rep.trace_text() == mac.export_trace(rep.traces.values())
+    rep.write_outputs(str(tmp_path))
+    assert (tmp_path / "trace.txt").read_text(encoding="utf-8") == rep.trace_text()
 
 
 def test_sweep_distance_update_rate_non_increasing():
