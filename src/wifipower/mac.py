@@ -234,36 +234,24 @@ def window_length(window: tuple[float, float]) -> float:
     return t1 - t0
 
 
-def bin_index(t: float, bin_us: float, n: int) -> int:
-    """The bin i of `n` whose window i*bin_us <= t < (i+1)*bin_us holds
-    `t` (the edge test of `occupancy`), or -1 for a time before 0, at or
-    past n*bin_us, or NaN."""
-    if not 0.0 <= t < n * bin_us:
-        return -1
-    # floor division can land one bin off the edges i * bin_us
-    i = min(int(t // bin_us), n - 1)
-    while i * bin_us > t:
-        i -= 1
-    while (i + 1) * bin_us <= t:
-        i += 1
-    return i
-
-
 def bin_sums(
     trace: ChannelTrace, values: Sequence[Optional[float]], bin_us: float, n: int
 ) -> tuple[list[float], float]:
     """Sums of `values[code]` over the frames of `trace`, in frame order:
-    per bin of `n`, placed by `bin_index`, and over the whole window
-    0 <= t < duration_us. Codes whose value is None are left out.
+    per bin of `n`, and over the whole window 0 <= t < duration_us.
+    Codes whose value is None are left out.
 
-    Frames in start-time order mostly share the bin of the previous one,
-    so that bin, cut at the window end, is tried first; a frame inside
-    it belongs to both sums.
+    Bin i is the window i*bin_us <= t < (i+1)*bin_us, the edge test of
+    `occupancy`; a frame before 0, at or past n*bin_us, or at NaN is in
+    no bin. Frames in start-time order mostly share the bin of the
+    previous one, so that bin, cut at the window end, is tried first; a
+    frame inside it belongs to both sums.
     """
     duration = trace.duration_us
+    end = n * bin_us
     sums = [0.0] * n
     total = 0.0
-    i, lo, hi = 0, 0.0, min(bin_us, duration)
+    i, lo, hi = 0, 0.0, min(bin_us, duration)  # the bin of the previous frame
     for t, v in zip(trace.starts, map(values.__getitem__, trace.codes)):
         if v is None:
             continue
@@ -273,10 +261,16 @@ def bin_sums(
             continue
         if 0.0 <= t < duration:
             total += v
-        j = bin_index(t, bin_us, n)
-        if j >= 0:
-            i, lo, hi = j, j * bin_us, min((j + 1) * bin_us, duration)
-            sums[i] += v
+        if not 0.0 <= t < end:
+            continue
+        # floor division can land one bin off the edges i * bin_us
+        i = min(int(t // bin_us), n - 1)
+        while i * bin_us > t:
+            i -= 1
+        while (i + 1) * bin_us <= t:
+            i += 1
+        lo, hi = i * bin_us, min((i + 1) * bin_us, duration)
+        sums[i] += v
     return sums, total
 
 
