@@ -252,7 +252,8 @@ def bin_sums(
     sums = [0.0] * n
     total = 0.0
     i, lo, hi = 0, 0.0, min(bin_us, duration)  # the bin of the previous frame
-    for t, v in zip(trace.starts, map(values.__getitem__, trace.codes)):
+    for t, c in zip(trace.starts, trace.codes):
+        v = values[c]
         if v is None:
             continue
         if lo <= t < hi:

@@ -85,8 +85,15 @@ def test_start_times_need_seventeen_digits():
 @given(traces())
 def test_export_parse_export_is_byte_identical(trs):
     text = mac.export_trace(trs)
-    assert text.count("\n") == sum(len(tr.records) for tr in trs)
-    assert mac.export_trace(mac.parse_trace(text).values()) == text
+    parsed = mac.parse_trace(text)
+    assert mac.export_trace(parsed.values()) == text
+
+    # and every field, the start time to the last bit, came back
+    def fields(tr):
+        return [(r.t_start_us, r.channel, r.station_id, r.kind, r.size_bytes,
+                 r.rate_mbps, r.outcome) for r in tr.records]
+
+    assert {ch: fields(tr) for ch, tr in parsed.items()} == {tr.channel: fields(tr) for tr in trs}
 
 
 @SETTINGS
