@@ -30,11 +30,12 @@ of frame start times, an `array('I')` of frame codes, and one FrameRow
 per distinct (station, flow, kind, size, rate, outcome, payload airtime,
 busy time). The engine registers a delivered and a collided code per
 flow before its loop and appends just a start time and a code per
-frame. On the seed-1 `home-contended` benchmark inputs that is 13.2
-bytes of heap per frame, down from 143.2 for the list of FrameRecords
-it replaces. The metrics and the trace text I/O look values up once
-per code and then walk the two columns; `ChannelTrace.records` still
-reads the frames as FrameRecords, built one at a time.
+frame: on the first seed-1 `home-contended` benchmark input that is
+13.0 bytes of heap per frame, down from 143.2 for the list of
+FrameRecords it replaces (`mac.heap_bytes_per_frame`). The metrics and
+the trace text I/O look values up once per code and then walk the two
+columns; `ChannelTrace.records` still reads the frames as FrameRecords,
+built one at a time.
 
 Occupancy is accounted exactly like the standard capture-analysis
 pipeline: the payload airtime of a frame is size * 8 / rate and the

@@ -356,10 +356,9 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
                 continue
             assert (router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
                     == router.throughput_series(again, st.station_id, sc.throughput_bin_ms))
-            for period_us, frames in ((st.burst_period_ms() * 1000.0 or 10_000.0, 3),):
-                assert (router.burst_completion_times_ms(tr, st.station_id, period_us, frames)
-                        == router.burst_completion_times_ms(again, st.station_id,
-                                                            period_us, frames))
+            period_us = st.burst_period_ms() * 1000.0 or 10_000.0  # any flow will do
+            assert (router.burst_completion_times_ms(tr, st.station_id, period_us, 3)
+                    == router.burst_completion_times_ms(again, st.station_id, period_us, 3))
 
 
 def test_router_occupancy_mean_equals_occupancy_of_router_frames():
