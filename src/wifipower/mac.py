@@ -33,7 +33,7 @@ flow before its loop and appends just a start time and a code per
 frame: on the first seed-1 `home-contended` benchmark input that is
 13.0 bytes of heap per frame, down from 143.2 for the list of
 FrameRecords it replaces (`mac.heap_bytes_per_frame`). The metrics and
-the trace text I/O look values up once per code and then walk the two
+the trace export look values up once per code and then walk the two
 columns; `ChannelTrace.records` still reads the frames as FrameRecords,
 built one at a time.
 
@@ -47,7 +47,6 @@ ACK time make the channel busy but are not occupancy.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from array import array
@@ -813,48 +812,30 @@ def parse_trace(
     """Parse the line format back into per-channel traces, each sorted
     by start time (stable, so equal starts keep their line order).
 
-    Everything after a line's first comma (its tail) is validated by
-    `parse_trace_line` and given a code the first time it is seen; later
-    lines with the same tail only convert their start time. A line whose
-    start does not convert goes back through `parse_trace_line`, which
-    skips it as a comment or raises with its line number.
+    Errors carry the 1-based line number of the offending record.
     """
     traces: dict[int, ChannelTrace] = {}
-    # tail -> (trace, code, payload airtime)
-    tails: dict[str, tuple[ChannelTrace, int, float]] = {}
     max_t = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        start, _, tail = raw.partition(",")
-        known = tails.get(tail)
-        if known is not None:
-            try:
-                t_start = float(start)
-            except ValueError:
-                known = None
-        if known is None:
-            fields = parse_trace_line(raw, lineno)
-            if fields is None:
-                continue
-            t_start, ch, station, kind, size, rate, outcome = fields
-            payload = size * 8.0 / rate
-            tr = traces.get(ch)
-            if tr is None:
-                tr = traces[ch] = ChannelTrace(ch, 0.0)
-            known = tails[tail] = (tr, tr.code(FrameRow(
-                ch, station, kind, size, rate, outcome, payload, payload,
-                f"{station}:{kind}",
-            )), payload)
-        tr, code, payload = known
-        tr.append(t_start, code)
-        if t_start + payload > max_t:
-            max_t = t_start + payload
+        fields = parse_trace_line(raw, lineno)
+        if fields is None:
+            continue
+        t_start, ch, station, kind, size, rate, outcome = fields
+        payload = size * 8.0 / rate
+        tr = traces.get(ch)
+        if tr is None:
+            tr = traces[ch] = ChannelTrace(ch, 0.0)
+        tr.append(t_start, tr.code(FrameRow(
+            ch, station, kind, size, rate, outcome, payload, payload,
+            f"{station}:{kind}",
+        )))
+        max_t = max(max_t, t_start + payload)
     out: dict[int, ChannelTrace] = {}
     for ch in sorted(traces):
         tr = out[ch] = traces[ch]
         tr.duration_us = duration_us if duration_us is not None else max_t
-        starts = tr.starts
-        if any(b < a for a, b in zip(starts, itertools.islice(starts, 1, None))):
-            order = sorted(range(len(starts)), key=starts.__getitem__)
-            tr.starts = array("d", [starts[k] for k in order])
-            tr.codes = array("I", [tr.codes[k] for k in order])
+        starts, codes = tr.starts, tr.codes
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        tr.starts = array("d", [starts[k] for k in order])
+        tr.codes = array("I", [codes[k] for k in order])
     return out

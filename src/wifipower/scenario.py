@@ -607,23 +607,13 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     raise ConfigError(f"station {st.station_id!r} has no traffic")
 
 
-class OccupancyBins(tuple):
-    """`(bin starts in ms, occupancy of each bin)`, plus `payload_us`:
-    the payload airtime of the frames starting in (0, duration), summed
-    in the same pass and in frame order, as `mac.occupancy` of that
-    window sums it."""
-
-    payload_us: float
-
-    def __new__(cls, starts: list[float], values: list[float], payload_us: float):
-        self = super().__new__(cls, (starts, values))
-        self.payload_us = payload_us
-        return self
-
-
 def occupancy_bins(
-    trace: mac.ChannelTrace, bin_ms: float, stations: Optional[Sequence[str]] = None
-) -> OccupancyBins:
+    trace: mac.ChannelTrace,
+    bin_ms: float,
+    stations: Optional[Sequence[str]] = None,
+    *,
+    with_payload: bool = False,
+) -> tuple:
     """Bin start times (ms) and `mac.occupancy` of each bin, in one pass.
 
     Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.bin_sums` places
@@ -631,6 +621,9 @@ def occupancy_bins(
     order, so every value equals `mac.occupancy` of that window float
     for float.
     `stations`, when given, keeps only the frames those stations sent.
+    `with_payload` adds a third item: the payload airtime of the kept
+    frames starting in (0, duration), summed in the same pass and in
+    frame order, as `mac.occupancy` of that window sums it.
     """
     bin_us = bin_ms * 1000.0
     n = max(1, int(trace.duration_us // bin_us))
@@ -645,7 +638,9 @@ def occupancy_bins(
         totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))
         for i in range(n)
     ]
-    return OccupancyBins(starts, vals, total)
+    if with_payload:
+        return starts, vals, total
+    return starts, vals
 
 
 def harvest_duty(
@@ -685,9 +680,10 @@ def run(sc: Scenario) -> ReportSet:
         tr = traces.get(ch)
         if tr is None:
             continue
-        binned = occupancy_bins(tr, sc.occupancy_bin_ms, router_ids)
-        bin_starts, occ_bins[ch] = binned
-        occ_mean[ch] = binned.payload_us / mac.window_length((0.0, window_us))
+        bin_starts, occ_bins[ch], payload_us = occupancy_bins(
+            tr, sc.occupancy_bin_ms, router_ids, with_payload=True
+        )
+        occ_mean[ch] = payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())
 
     throughput: dict[str, list[float]] = {}
