@@ -416,6 +416,8 @@ def _step_battery(
             fired += drawn
             state.log(t_fire, "sensor_fire", store.voltage)
         state._fire_surplus_j = surplus
+    elif net <= 0:  # a drain leaves no more surplus than charge
+        state._fire_surplus_j = min(state._fire_surplus_j, charge)
     state.consumed_j += fired
     if charge > store.capacity_j:
         state.curtailed_j += charge - store.capacity_j
@@ -804,6 +806,7 @@ def _run_envelope_battery(
         drained = min(state.stored_j, -net * duration)
         state.leaked_j += mean_dc * duration + drained
         state.stored_j -= drained
+        state._fire_surplus_j = min(state._fire_surplus_j, state.stored_j)
         state.t_s = end_t
         return
     state.leaked_j += dcdc.quiescent_w * duration

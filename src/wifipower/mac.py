@@ -290,37 +290,29 @@ def cumulative_occupancy(
 class FlowSpec:
     """A frame source feeding one station's transmit queue.
 
-    kinds of pacing:
-      cbr         frames every `interval_us` from `start_us`
-      backlogged  a frame is always available
-      burst       `frames_per_burst` frames all at once every `period_us`
-      paced       like cbr but admission-gated on the station's total
-                  queue depth (drop when depth >= gate_threshold)
-      beacon      fixed-size management broadcast on a fixed period
+    With `interval_us` None the flow is backlogged: a frame is always
+    available. Otherwise `frames_per_burst` frames arrive together at
+    `start_us + k * interval_us` for k = 0, 1, ...; with a
+    `gate_threshold` each of them is admitted only while the station's
+    total queue depth is below it (`gate_admits`), else dropped.
     """
 
     name: str
     kind: str  # frame kind
-    pacing: str  # cbr | backlogged | burst | paced | beacon
     size_bytes: int = 1500
     rate_mbps: float = 54.0
-    interval_us: float = 0.0
+    interval_us: Optional[float] = None
     start_us: float = 0.0
-    frames_per_burst: int = 0
-    period_us: float = 0.0
+    frames_per_burst: int = 1
     gate_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FRAME_KINDS:
             raise ConfigError(f"unknown frame kind {self.kind!r}")
-        if self.pacing not in ("cbr", "backlogged", "burst", "paced", "beacon"):
-            raise ConfigError(f"unknown pacing {self.pacing!r}")
-        if self.pacing in ("cbr", "paced") and self.interval_us <= 0:
+        if self.interval_us is not None and not self.interval_us > 0:
             raise ConfigError(f"flow {self.name!r}: interval must be > 0 us")
-        if self.pacing == "burst" and (
-            self.frames_per_burst < 1 or self.period_us <= 0
-        ):
-            raise ConfigError(f"flow {self.name!r}: burst needs frames and period")
+        if self.frames_per_burst < 1:
+            raise ConfigError(f"flow {self.name!r}: frames per burst must be >= 1")
         if self.gate_threshold is not None and self.gate_threshold < 1:
             raise ConfigError(f"flow {self.name!r}: gate threshold must be >= 1")
         if self.kind in ("client_data", "neighbor_data") and self.size_bytes > 1500:
@@ -349,7 +341,6 @@ def cbr_flow_for_target(
     return FlowSpec(
         name=name,
         kind=kind,
-        pacing="cbr",
         size_bytes=size_bytes,
         rate_mbps=rate_mbps,
         interval_us=interval,
@@ -413,15 +404,10 @@ class _FlowRt:
         if not self.broadcast:  # a delivered unicast also holds SIFS + ACK
             self.busy_delivered_us += params.sifs_us + params.ack_airtime_us
         self.gate = spec.gate_threshold
-        self.backlogged = spec.pacing == "backlogged"
+        self.backlogged = spec.interval_us is None
         self.start_us = spec.start_us
-        if spec.pacing == "burst":
-            self.step_us = spec.period_us
-        elif spec.pacing == "beacon":
-            self.step_us = BEACON_INTERVAL_US
-        else:
-            self.step_us = spec.interval_us
-        self.per_step = spec.frames_per_burst if spec.pacing == "burst" else 1
+        self.step_us = spec.interval_us
+        self.per_step = spec.frames_per_burst
         self.codes = (0, 0)
         self.emitted = 0
         self.next_arrival = math.inf if self.backlogged else spec.start_us
@@ -461,9 +447,9 @@ class _StationRt:
                 FlowSpec(
                     name=f"{spec.station_id}.beacon",
                     kind="beacon",
-                    pacing="beacon",
                     size_bytes=BEACON_SIZE_BYTES,
                     rate_mbps=BEACON_RATE_MBPS,
+                    interval_us=BEACON_INTERVAL_US,
                 )
             )
         self.flows = [_FlowRt(f, params) for f in flows]

@@ -1,4 +1,5 @@
-"""Power-packet transmission policies and the comparison schemes.
+"""The comparison schemes, the power source each gives the router,
+and the per-flow throughput and burst metrics.
 
 The router keeps a quiet channel warm for harvesters by pacing
 superfluous UDP broadcast frames ("power packets") onto it, and backs
@@ -6,7 +7,8 @@ off the moment real traffic queues up: a power packet is dropped at
 admission whenever the interface's pending queue depth is at or above a
 threshold. High-bit-rate power packets occupy the air only briefly,
 which is what makes the default policy fair (better than equal-share)
-to neighboring networks.
+to neighboring networks. The source is a `mac.FlowSpec`: the engine
+times its arrivals and applies its gate (`mac.gate_admits`).
 
 Schemes compared throughout the test and demo suite:
   Baseline    no power traffic at all, beacons only
@@ -20,40 +22,13 @@ Schemes compared throughout the test and demo suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import mac
 from .errors import ConfigError
 
-POWER_CHANNELS = (1, 6, 11)
-
 SCHEME_NAMES = ("Baseline", "BlindUDP", "NoQueue", "PoWiFi", "PoWiFiSlow", "EqualShare")
-
-
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Pacing and admission parameters of one channel's power source."""
-
-    inter_packet_delay_us: float = 100.0
-    packet_size_bytes: int = 1500
-    rate_mbps: float = 54.0
-    queue_threshold: int = 5
-    gate_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.inter_packet_delay_us <= 0:
-            raise ConfigError("inter-packet delay must be > 0 us")
-        if self.packet_size_bytes < 1:
-            raise ConfigError("packet size must be >= 1 byte")
-        if self.queue_threshold < 1:
-            raise ConfigError("queue threshold must be >= 1 frame")
-        mac.payload_airtime_us(self.packet_size_bytes, self.rate_mbps)
-
-    @property
-    def gate_threshold(self) -> Optional[int]:
-        """Queue depth at which power packets drop; None when ungated."""
-        return self.queue_threshold if self.gate_enabled else None
 
 
 @dataclass(frozen=True)
@@ -69,63 +44,38 @@ class Scheme:
             raise ConfigError(f"unknown scheme {self.name!r}")
 
 
-def power_gate(queue_depth: int, policy: PowerPolicy) -> bool:
-    """Admission decision for one power packet: True admits.
-
-    Drops when the pending queue depth is at or above the threshold
-    (depth 5 against threshold 5 is a drop), or always admits with the
-    gate disabled.
-    """
-    if queue_depth < 0:
-        raise ConfigError("queue depth cannot be negative")
-    return mac.gate_admits(queue_depth, policy.gate_threshold)
-
-
-def next_power_packet_time(t_last_emit_us: float, policy: PowerPolicy) -> float:
-    """Emission instant of the packet after one emitted at t_last_emit."""
-    if t_last_emit_us < 0:
-        raise ConfigError("emission time cannot be negative")
-    return t_last_emit_us + policy.inter_packet_delay_us
-
-
-def configure_scheme(
+def power_flow(
     scheme: Scheme,
-    base: Optional[PowerPolicy] = None,
-    channels: tuple[int, ...] = POWER_CHANNELS,
-) -> dict[int, Optional[PowerPolicy]]:
-    """Per-channel power policy for a scheme (None means no power traffic).
+    station_id: str,
+    delay_us: float,
+    size_bytes: int,
+    queue_threshold: int,
+) -> Optional[mac.FlowSpec]:
+    """The MAC flow of a channel's power source under `scheme`, or None
+    for Baseline.
 
-    `base` carries any operator overrides (delay, size, threshold); the
-    scheme then fixes rate and gating on top of it.
+    The operator's delay, size and threshold are taken as given; the
+    scheme fixes the rate and whether the queue gate applies, and
+    PoWiFiSlow paces at 500 us whatever the delay.
     """
-    base = base or PowerPolicy()
     if scheme.name == "Baseline":
-        per = None
-    elif scheme.name == "BlindUDP":
-        per = replace(base, rate_mbps=1.0, gate_enabled=False)
-    elif scheme.name == "NoQueue":
-        per = replace(base, rate_mbps=54.0, gate_enabled=False)
-    elif scheme.name == "PoWiFi":
-        per = replace(base, rate_mbps=54.0, gate_enabled=True)
-    elif scheme.name == "PoWiFiSlow":
-        per = replace(base, rate_mbps=54.0, gate_enabled=True, inter_packet_delay_us=500.0)
-    else:  # EqualShare: match the neighbor pair's bit rate, gate off
+        return None
+    gated = scheme.name in ("PoWiFi", "PoWiFiSlow")
+    if scheme.name == "BlindUDP":
+        rate = 1.0
+    elif scheme.name == "EqualShare":  # match the neighbor pair's bit rate
         if scheme.equal_share_rate_mbps is None:
             raise ConfigError("EqualShare rate is unresolved; no neighbor rate known")
-        per = replace(base, rate_mbps=scheme.equal_share_rate_mbps, gate_enabled=False)
-    return {ch: per for ch in channels}
-
-
-def power_flow_spec(station_id: str, policy: PowerPolicy) -> mac.FlowSpec:
-    """The MAC-level flow implementing a channel's power source."""
+        rate = scheme.equal_share_rate_mbps
+    else:
+        rate = 54.0
     return mac.FlowSpec(
         name=f"{station_id}.power",
         kind="power_broadcast",
-        pacing="paced",
-        size_bytes=policy.packet_size_bytes,
-        rate_mbps=policy.rate_mbps,
-        interval_us=policy.inter_packet_delay_us,
-        gate_threshold=policy.gate_threshold,
+        size_bytes=size_bytes,
+        rate_mbps=rate,
+        interval_us=500.0 if scheme.name == "PoWiFiSlow" else delay_us,
+        gate_threshold=queue_threshold if gated else None,
     )
 
 

@@ -66,13 +66,6 @@ class RouterConf:
             beamforming_efficiency=self.beamforming_efficiency,
         )
 
-    def base_policy(self) -> router.PowerPolicy:
-        return router.PowerPolicy(
-            inter_packet_delay_us=self.power_delay_us,
-            packet_size_bytes=self.power_size_bytes,
-            queue_threshold=self.queue_threshold,
-        )
-
 
 @dataclass
 class StationConf:
@@ -169,6 +162,13 @@ class Scenario:
         for ch in self.router.channels:
             if ch not in mac.VALID_CHANNELS:
                 raise ConfigError(f"router channel {ch} invalid")
+        # checked under every scheme, Baseline and the ungated ones included
+        if self.router.power_delay_us <= 0:
+            raise ConfigError("inter-packet delay must be > 0 us")
+        if self.router.power_size_bytes < 1:
+            raise ConfigError("packet size must be >= 1 byte")
+        if self.router.queue_threshold < 1:
+            raise ConfigError("queue threshold must be >= 1 frame")
         ids = [s.station_id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise ConfigError("station ids must be unique")
@@ -551,9 +551,7 @@ class ReportSet:
 def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]]:
     """MAC station specs for a scenario: router APs, then neighbors."""
     scheme = sc.equal_share_scheme()
-    policies = router.configure_scheme(
-        scheme, base=sc.router.base_policy(), channels=sc.router.channels
-    )
+    rc = sc.router
     specs: list[mac.StationSpec] = []
     router_ids = []
     client_flows: dict[int, list[mac.FlowSpec]] = {}
@@ -565,9 +563,11 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
         sid = f"router_ch{ch}"
         router_ids.append(sid)
         flows: list[mac.FlowSpec] = list(client_flows.get(ch, ()))
-        pol = policies.get(ch)
-        if pol is not None:
-            flows.append(router.power_flow_spec(sid, pol))
+        power = router.power_flow(
+            scheme, sid, rc.power_delay_us, rc.power_size_bytes, rc.queue_threshold
+        )
+        if power is not None:
+            flows.append(power)
         specs.append(
             mac.StationSpec(station_id=sid, channel=ch, flows=tuple(flows), is_ap=True)
         )
@@ -592,16 +592,14 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     if st.traffic == "udp_cbr":
         return mac.cbr_flow_for_target(name, kind, st.target_mbps, rate_mbps=st.rate_mbps)
     if st.traffic == "backlogged":
-        return mac.FlowSpec(
-            name=name, kind=kind, pacing="backlogged", rate_mbps=st.rate_mbps,
-        )
+        return mac.FlowSpec(name=name, kind=kind, rate_mbps=st.rate_mbps)
     if st.traffic == "burst":
         # the burst's bytes all queue at the start of its on-window
         frames = max(1, math.ceil(st.burst_bytes / 1500))
         return mac.FlowSpec(
-            name=name, kind=kind, pacing="burst", rate_mbps=st.rate_mbps,
+            name=name, kind=kind, rate_mbps=st.rate_mbps,
             frames_per_burst=frames,
-            period_us=st.burst_period_ms() * 1000.0,
+            interval_us=st.burst_period_ms() * 1000.0,
             start_us=st.start_ms * 1000.0,
         )
     raise ConfigError(f"station {st.station_id!r} has no traffic")
@@ -611,19 +609,18 @@ def occupancy_bins(
     trace: mac.ChannelTrace,
     bin_ms: float,
     stations: Optional[Sequence[str]] = None,
-    *,
-    with_payload: bool = False,
-) -> tuple:
-    """Bin start times (ms) and `mac.occupancy` of each bin, in one pass.
+) -> tuple[list[float], list[float], float]:
+    """Bin start times (ms), `mac.occupancy` of each bin, and the
+    payload airtime (us) of the whole window, in one pass.
 
     Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.bin_sums` places
     each frame by the edge test `mac.occupancy` uses and keeps frame
     order, so every value equals `mac.occupancy` of that window float
     for float.
     `stations`, when given, keeps only the frames those stations sent.
-    `with_payload` adds a third item: the payload airtime of the kept
-    frames starting in (0, duration), summed in the same pass and in
-    frame order, as `mac.occupancy` of that window sums it.
+    The payload airtime is that of the kept frames starting in
+    (0, duration), summed in frame order, as `mac.occupancy` of that
+    window sums it.
     """
     bin_us = bin_ms * 1000.0
     n = max(1, int(trace.duration_us // bin_us))
@@ -638,9 +635,7 @@ def occupancy_bins(
         totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))
         for i in range(n)
     ]
-    if with_payload:
-        return starts, vals, total
-    return starts, vals
+    return starts, vals, total
 
 
 def harvest_duty(
@@ -681,7 +676,7 @@ def run(sc: Scenario) -> ReportSet:
         if tr is None:
             continue
         bin_starts, occ_bins[ch], payload_us = occupancy_bins(
-            tr, sc.occupancy_bin_ms, router_ids, with_payload=True
+            tr, sc.occupancy_bin_ms, router_ids
         )
         occ_mean[ch] = payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())

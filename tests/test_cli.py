@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from wifipower import cli, scenario
+from wifipower import cli, router, scenario
 
 
 def write_cfg(tmp_path, text):
@@ -159,3 +159,35 @@ def test_analyze_bad_window_exit_2(tmp_path, capsys, window):
     rc = cli.main(["analyze", str(trace), "--window", window])
     assert rc == 2
     assert "--window expects" in capsys.readouterr().err
+
+
+SCHEME_CFG = """
+duration_s = 1
+seed = 5
+mac_window_s = 0.05
+
+[router]
+scheme = {scheme}
+channels = 6
+equal_share_rate_mbps = 24
+{line}
+"""
+
+
+@pytest.mark.parametrize("line, code", [
+    ("power_delay_us = 0", 2),
+    ("power_delay_us = -1", 2),
+    ("power_size_bytes = 0", 2),
+    ("queue_threshold = 0", 2),
+    ("", 0),
+], ids=["delay_zero", "delay_negative", "size_zero", "threshold_zero", "defaults"])
+@pytest.mark.parametrize("scheme", router.SCHEME_NAMES)
+def test_power_settings_are_checked_under_every_scheme(tmp_path, capsys, scheme, line, code):
+    # Baseline sends no power packets and the ungated schemes use no
+    # threshold, yet a bad power setting is a config error under each
+    cfg = write_cfg(tmp_path, SCHEME_CFG.format(scheme=scheme, line=line))
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == code
+    assert (tmp_path / "x").exists() == (code == 0)
+    if code:
+        assert "config error" in capsys.readouterr().err

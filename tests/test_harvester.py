@@ -170,6 +170,32 @@ def test_energy_ledger_closes_on_the_battery_envelope_path(make):
     assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
 
 
+@pytest.mark.parametrize("path", ["run_envelope", "step"])
+def test_a_drained_battery_fires_after_a_full_operation_of_surplus(path):
+    # charge, drain the battery empty, charge again: the first fire after
+    # the drain comes once e_op of new surplus is in, not from the surplus
+    # gathered before it
+    cfg = hv.battery_temp_sensor()
+    st = hv.new_state(cfg)
+
+    def drive(dbm, dt):
+        if path == "step":
+            hv.step(st, PowerDbm(dbm), dt, cfg)
+        else:
+            hv.run_envelope(cfg, [(0.01, PowerDbm(dbm))], dt, state=st)
+
+    drive(-8.0, 1.2)
+    drive(-60.0, 100.0)
+    assert st.stored_j == 0.0
+    resumed, n_events = st.t_s, len(st.events)
+    drive(-8.0, 0.5)
+    fires = [t for t, e, _ in st.events[n_events:] if e == "sensor_fire"]
+    net = hv.transfer_power_w(PowerDbm(-8.0), cfg) - cfg.dcdc.quiescent_w
+    assert fires[0] - resumed == pytest.approx(cfg.load.e_op_j / net, rel=1e-9)
+    assert st.stored_j >= 0.0
+    assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
+
+
 # -- incident power ----------------------------------------------------------
 
 def test_incident_power_single_channel():

@@ -104,9 +104,14 @@ def test_airtime_fairness_ratio():
 
 # -- engine behavior ---------------------------------------------------------
 
+def powifi_flow(interval_us: float = 100.0) -> mac.FlowSpec:
+    """The router's power source under PoWiFi: 1500 bytes at 54 Mbps,
+    gated at a queue depth of 5."""
+    return router.power_flow(router.Scheme("PoWiFi"), "r", interval_us, 1500, 5)
+
+
 def run_single_backlogged(rate_mbps: float, seed: int = 1, dur: float = 5e6):
-    flow = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                        rate_mbps=rate_mbps)
+    flow = mac.FlowSpec(name="f", kind="neighbor_data", rate_mbps=rate_mbps)
     st = mac.StationSpec("a", 6, flows=(flow,))
     return mac.run_mac([st], duration_us=dur, seed=seed)[6]
 
@@ -130,10 +135,8 @@ def test_single_backlogged_cycle_accounting():
 
 
 def test_two_identical_backlogged_stations_fair():
-    f1 = mac.FlowSpec(name="f1", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0)
-    f2 = mac.FlowSpec(name="f2", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0)
+    f1 = mac.FlowSpec(name="f1", kind="neighbor_data", rate_mbps=54.0)
+    f2 = mac.FlowSpec(name="f2", kind="neighbor_data", rate_mbps=54.0)
     stations = [
         mac.StationSpec("a", 6, flows=(f1,)),
         mac.StationSpec("b", 6, flows=(f2,)),
@@ -150,8 +153,7 @@ def test_n_station_fairness():
     stations = [
         mac.StationSpec(
             f"s{i}", 6,
-            flows=(mac.FlowSpec(name=f"f{i}", kind="neighbor_data",
-                                pacing="backlogged", rate_mbps=54.0),),
+            flows=(mac.FlowSpec(name=f"f{i}", kind="neighbor_data", rate_mbps=54.0),),
         )
         for i in range(n)
     ]
@@ -166,10 +168,8 @@ def test_n_station_fairness():
 
 
 def test_no_overlap_except_collisions():
-    pol = router.PowerPolicy()
-    st1 = mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True)
-    f2 = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=24.0)
+    st1 = mac.StationSpec("r", 6, flows=(powifi_flow(),), is_ap=True)
+    f2 = mac.FlowSpec(name="n", kind="neighbor_data", rate_mbps=24.0)
     st2 = mac.StationSpec("n", 6, flows=(f2,))
     tr = mac.run_mac([st1, st2], duration_us=5e6, seed=3)[6]
     events = sorted(tr.records, key=lambda r: r.t_start_us)
@@ -182,10 +182,8 @@ def test_no_overlap_except_collisions():
 
 
 def test_collided_broadcasts_are_lost_not_retried():
-    pol = router.PowerPolicy()
-    st1 = mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True)
-    f2 = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged",
-                      rate_mbps=54.0)
+    st1 = mac.StationSpec("r", 6, flows=(powifi_flow(),), is_ap=True)
+    f2 = mac.FlowSpec(name="n", kind="neighbor_data", rate_mbps=54.0)
     st2 = mac.StationSpec("n", 6, flows=(f2,))
     tr = mac.run_mac([st1, st2], duration_us=5e6, seed=3)[6]
     stats = tr.flow_stats["r.power"]
@@ -206,13 +204,11 @@ def test_determinism_and_seed_sensitivity():
 
 def test_station_substreams_independent_of_other_channels():
     # adding stations on other channels must not perturb this channel
-    f = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                     rate_mbps=54.0)
+    f = mac.FlowSpec(name="f", kind="neighbor_data", rate_mbps=54.0)
     base = [mac.StationSpec("a", 6, flows=(f,))]
     extra = base + [
         mac.StationSpec("z", 1, flows=(mac.FlowSpec(
-            name="z", kind="neighbor_data", pacing="backlogged",
-            rate_mbps=54.0),))
+            name="z", kind="neighbor_data", rate_mbps=54.0),))
     ]
     tr1 = mac.run_mac(base, duration_us=2e6, seed=4)[6]
     tr2 = mac.run_mac(extra, duration_us=2e6, seed=4)[6]
@@ -231,8 +227,7 @@ def test_invalid_station_config_rejected():
         mac.StationSpec("a", 2)  # not a usable channel
     with pytest.raises(ConfigError):
         mac.StationSpec("", 6)
-    f = mac.FlowSpec(name="f", kind="neighbor_data", pacing="backlogged",
-                     rate_mbps=54.0)
+    f = mac.FlowSpec(name="f", kind="neighbor_data", rate_mbps=54.0)
     with pytest.raises(ConfigError):
         mac.run_mac([mac.StationSpec("a", 6, flows=(f,))] * 2, duration_us=1e6)
 
@@ -242,10 +237,9 @@ def test_invalid_station_config_rejected():
 def test_every_arrival_in_the_window_is_admitted_or_dropped(seed, interval_us):
     # the arrivals after the engine's last event count too
     window = 300_000.0
-    pol = router.PowerPolicy(inter_packet_delay_us=interval_us)
-    neighbor = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged")
+    neighbor = mac.FlowSpec(name="n", kind="neighbor_data")
     stations = [
-        mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol),), is_ap=True),
+        mac.StationSpec("r", 6, flows=(powifi_flow(interval_us),), is_ap=True),
         mac.StationSpec("n", 6, flows=(neighbor,)),
     ]
     stats = mac.run_mac(stations, duration_us=window, seed=seed)[6].flow_stats["r.power"]
@@ -259,11 +253,10 @@ def test_arrival_identity_holds_for_flows_losing_contention(seed, power_us, cbr_
     # A router with a frame in service pulls its arrivals only once it is
     # idle again; the gate must still see every arrival in the window.
     window = 300_000.0
-    pol = router.PowerPolicy(inter_packet_delay_us=power_us)
-    cbr = mac.FlowSpec(name="c", kind="client_data", pacing="cbr", interval_us=cbr_us)
-    neighbor = mac.FlowSpec(name="n", kind="neighbor_data", pacing="backlogged")
+    cbr = mac.FlowSpec(name="c", kind="client_data", interval_us=cbr_us)
+    neighbor = mac.FlowSpec(name="n", kind="neighbor_data")
     stations = [
-        mac.StationSpec("r", 6, flows=(router.power_flow_spec("r", pol), cbr), is_ap=True),
+        mac.StationSpec("r", 6, flows=(powifi_flow(power_us), cbr), is_ap=True),
         mac.StationSpec("n", 6, flows=(neighbor,)),
         mac.StationSpec("m", 6, flows=(neighbor,)),
     ]
@@ -287,10 +280,27 @@ def test_backoff_draw_is_the_randrange_stream(seed):
         assert st.draw_backoff() == ref.randrange(st.cw + 1)
 
 
+def test_gate_threshold_semantics():
+    assert mac.gate_admits(4, 5) is True
+    # at-or-above the threshold drops
+    assert mac.gate_admits(5, 5) is False
+    assert mac.gate_admits(0, 5) is True
+
+
+def test_gate_disabled_admits_everything():
+    assert mac.gate_admits(10_000, None) is True
+
+
+def test_gate_monotone_in_depth():
+    admits = [mac.gate_admits(d, 5) for d in range(12)]
+    # once dropping starts it never resumes at higher depth
+    assert admits == sorted(admits, reverse=True)
+
+
 def test_oversized_data_flow_rejected_at_the_spec():
     with pytest.raises(ConfigError, match="1500 bytes"):
-        mac.FlowSpec(name="f", kind="client_data", pacing="backlogged", size_bytes=1501)
-    mac.FlowSpec(name="p", kind="power_broadcast", pacing="backlogged", size_bytes=2000)
+        mac.FlowSpec(name="f", kind="client_data", size_bytes=1501)
+    mac.FlowSpec(name="p", kind="power_broadcast", size_bytes=2000)
 
 
 def test_beacons_present_for_ap():
@@ -331,13 +341,13 @@ def contended_traces(seed: int) -> dict:
         return mac.StationSpec(sid, ch, flows=flows, is_ap=True)
 
     stations = [
-        ap("r1", 1, mac.FlowSpec(name="r1.power", kind="power_broadcast", pacing="paced",
+        ap("r1", 1, mac.FlowSpec(name="r1.power", kind="power_broadcast",
                                  interval_us=100.0, gate_threshold=5),
            mac.cbr_flow_for_target("c1", "client_data", 6.0, rate_mbps=24.0)),
-        ap("n1", 1, mac.FlowSpec(name="n1", kind="neighbor_data", pacing="backlogged",
+        ap("n1", 1, mac.FlowSpec(name="n1", kind="neighbor_data",
                                  size_bytes=900, rate_mbps=5.5)),
-        ap("n2", 11, mac.FlowSpec(name="n2", kind="neighbor_data", pacing="burst",
-                                  frames_per_burst=4, period_us=20_000.0, rate_mbps=11.0)),
+        ap("n2", 11, mac.FlowSpec(name="n2", kind="neighbor_data",
+                                  frames_per_burst=4, interval_us=20_000.0, rate_mbps=11.0)),
         ap("n3", 11, mac.cbr_flow_for_target("n3", "neighbor_data", 3.0, rate_mbps=1.0)),
     ]
     return mac.run_mac(stations, duration_us=300_000.0, seed=seed)

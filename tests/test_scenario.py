@@ -288,11 +288,11 @@ def test_occupancy_bins_equal_per_bin_occupancy(bin_ms):
         for k, t in enumerate(starts)
     ]
     trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
-    assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
+    assert scenario.occupancy_bins(trace, bin_ms)[:2] == _binned_reference(trace, bin_ms)
     # in start-time order, as the engine records them
     records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
     trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
-    assert scenario.occupancy_bins(trace, bin_ms) == _binned_reference(trace, bin_ms)
+    assert scenario.occupancy_bins(trace, bin_ms)[:2] == _binned_reference(trace, bin_ms)
 
 
 def test_throughput_and_occupancy_bins_place_a_frame_alike():
@@ -301,7 +301,7 @@ def test_throughput_and_occupancy_bins_place_a_frame_alike():
                           "delivered", 12000.0 / 54.0, 300.0, "f")
     trace = mac.ChannelTrace(channel=6, duration_us=3000.0, records=[rec])
     tput = router.throughput_series(trace, "f", 0.3333)
-    _, occ = scenario.occupancy_bins(trace, 0.3333)
+    _, occ = scenario.occupancy_bins(trace, 0.3333)[:2]
     assert [i for i, v in enumerate(tput) if v] == [5]
     assert [i for i, v in enumerate(occ) if v] == [5]
 
@@ -311,7 +311,7 @@ def test_occupancy_bins_window_shorter_than_a_bin():
     records = [mac.FrameRecord(t, 1, "r", "beacon", 300, 1.0, "delivered", 2400.0, 0.0)
                for t in (0.0, 900.0, 1500.0, 2000.0)]
     trace = mac.ChannelTrace(channel=1, duration_us=1000.0, records=records)
-    assert scenario.occupancy_bins(trace, 2.0) == _binned_reference(trace, 2.0)
+    assert scenario.occupancy_bins(trace, 2.0)[:2] == _binned_reference(trace, 2.0)
     assert scenario.occupancy_bins(trace, 2.0)[1] == [3 * 2400.0 / 2000.0]
 
 
@@ -324,7 +324,7 @@ def test_occupancy_bins_of_bundled_runs_equal_per_bin_occupancy():
     for ch, tr in rep.traces.items():
         view = mac.ChannelTrace(ch, tr.duration_us,
                                 [r for r in tr.records if r.station_id in keep])
-        assert scenario.occupancy_bins(view, 33.3) == _binned_reference(view, 33.3)
+        assert scenario.occupancy_bins(view, 33.3)[:2] == _binned_reference(view, 33.3)
         assert rep.occupancy_bins[ch] == _binned_reference(view, 33.3)[1]
 
 
@@ -345,10 +345,8 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
     for ch, tr in traces.items():
         again = rebuilt[ch]
         for stations in (None, router_ids):
-            a = scenario.occupancy_bins(tr, sc.occupancy_bin_ms, stations,
-                                        with_payload=True)
-            b = scenario.occupancy_bins(again, sc.occupancy_bin_ms, stations,
-                                        with_payload=True)
+            a = scenario.occupancy_bins(tr, sc.occupancy_bin_ms, stations)
+            b = scenario.occupancy_bins(again, sc.occupancy_bin_ms, stations)
             assert a == b
         assert mac.occupancy(tr, (0.0, window_us)) == mac.occupancy(again, (0.0, window_us))
         assert (scenario.harvest_duty(tr, router_ids, phy)
