@@ -370,7 +370,9 @@ def step(
 
     Closed form within the interval: stored energy moves linearly at
     (transfer - leakage) watts between threshold crossings; boot, fire
-    and brown-out events are located exactly and logged in order.
+    and brown-out events are located exactly and logged in order. A
+    capacitor store steps through `_walk`, the kernel `run_envelope`
+    uses too, as a walk of one piece.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -378,7 +380,7 @@ def step(
     if isinstance(cfg.storage, BatteryStore):
         _step_battery(state, p_net_in, dt, cfg)
     else:
-        _step_capacitor(state, p_net_in, dt, cfg, _store_levels(cfg.storage))
+        _walk(state, cfg, [(dt, p_net_in)], 0.0, dt, _store_levels(cfg.storage))
     return state
 
 
@@ -428,152 +430,171 @@ def _step_battery(
 
 
 def _fire(
-    state: HarvesterState, t: float, cfg: HarvesterConfig, levels: tuple[float, float, float]
-) -> None:
-    """Consume one operation's energy from a capacitor store."""
+    state: HarvesterState, t: float, e: float, booted: bool, cfg: HarvesterConfig,
+    levels: tuple[float, float, float],
+) -> tuple[float, bool]:
+    """Consume one operation's energy from a capacitor store holding
+    `e` joules; returns the store's new (e, booted)."""
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     assert cfg.load is not None
     e_floor, e_cut, _ = levels
-    new_e = max(e_floor, state.stored_j - cfg.load.e_op_j)
-    state.consumed_j += state.stored_j - new_e
-    state.stored_j = new_e
+    new_e = max(e_floor, e - cfg.load.e_op_j)
+    state.consumed_j += e - new_e
     state.log(t, "sensor_fire", store.voltage(new_e))
-    if state.booted and new_e < e_cut:
-        state.booted = False
+    if booted and new_e < e_cut:
+        booted = False
         state.log(t, "brown_out", store.voltage(new_e))
+    return new_e, booted
 
 
-def _step_capacitor(
+def _cross_activation(
+    state: HarvesterState, t: float, e: float, booted: bool, cfg: HarvesterConfig,
+    levels: tuple[float, float, float],
+) -> tuple[float, bool, Optional[float]]:
+    """Upward crossing of the activation energy: boot, or fire when
+    already booted. Returns (e, booted, the time of a pending first fire
+    or None)."""
+    store: CapacitorStore = cfg.storage  # type: ignore[assignment]
+    if not booted:
+        state.log(t, "boot", store.voltage(e))
+        return e, True, None if cfg.load is None else t + cfg.load.boot_time_s
+    if cfg.load is None:
+        return e, booted, None
+    return (*_fire(state, t, e, booted, cfg, levels), None)
+
+
+def _walk(
     state: HarvesterState,
-    p_in_w: float,
-    dt: float,
     cfg: HarvesterConfig,
+    pieces: Sequence[tuple[float, float]],
+    offset: float,
+    span_s: float,
     levels: tuple[float, float, float],
 ) -> None:
-    """The capacitor stepping rule: `dt` seconds at `p_in_w` transfer
-    watts, with `levels` the store's `_store_levels`.
+    """The capacitor stepping rule: step the store `span_s` seconds
+    through `pieces`, each (seconds, transfer watts) of constant input,
+    from `offset` seconds into them and wrapping round at their end;
+    `levels` are the store's `_store_levels`.
 
-    Each stretch of time is booked in place (harvested, leaked, t,
-    remaining) rather than through a helper: this is the innermost
-    loop of `run_envelope`. A stretch that runs to the end of the
-    interval books the rest and leaves the loop.
+    This is the innermost loop of `run_envelope`, so the clock, the
+    store, the ledger terms, `booted` and a pending boot stay in locals
+    for the whole walk and go back to `state` at its end. Each stretch
+    of time is booked in place; one that runs to the end of its piece
+    books the rest and moves on to the next piece. The first piece is
+    always stepped, however short the span.
     """
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     e_floor, e_cut, e_act = levels
     leak = store.leakage_w
-    remaining = dt
-    t = state.t_s
-    e = state.stored_j
-
-    while remaining > 1e-18:
-        net = p_in_w - leak
-
-        # A boot is in progress: hold at the ceiling until the boot
-        # delay elapses, then fire.
-        if state._pending_fire_t is not None:
-            wait = state._pending_fire_t - t
-            tau = min(wait, remaining) if wait > 0 else 0.0
-            if tau > 0:
-                room = e_act - e
-                gained = min(net * tau, room)
-                state.curtailed_j += max(0.0, net * tau - gained)
-                e = max(e_floor, e + gained)
-                state.harvested_j += p_in_w * tau
-                state.leaked_j += leak * tau
-                t += tau
-                remaining -= tau
-            if state._pending_fire_t - t > 1e-15:
-                break  # boot still pending past this interval
-            state._pending_fire_t = None
-            state.stored_j = e
-            _fire(state, t, cfg, levels)
-            e = state.stored_j
-            continue
-
-        if net > 0:
-            if e >= e_act - 1e-21:
-                if cfg.load is None:
-                    # Pinned at the ceiling; surplus is curtailed.
-                    state.curtailed_j += net * remaining
-                    state.harvested_j += p_in_w * remaining
-                    state.leaked_j += leak * remaining
-                    t += remaining
-                    break
-                state.stored_j = e
-                _cross_activation(state, t, cfg, levels)
-                e = state.stored_j
-                if state._pending_fire_t is None and e >= e_act - 1e-21:
-                    # No load consumption happened; avoid spinning.
-                    state.curtailed_j += net * remaining
-                    state.harvested_j += p_in_w * remaining
-                    state.leaked_j += leak * remaining
-                    t += remaining
-                    break
-                continue
-            t_cross = (e_act - e) / net
-            if t_cross >= remaining:
-                e += net * remaining
-                state.harvested_j += p_in_w * remaining
-                state.leaked_j += leak * remaining
-                t += remaining
-                break
-            e = e_act
-            state.harvested_j += p_in_w * t_cross
-            state.leaked_j += leak * t_cross
-            t += t_cross
-            remaining -= t_cross
-            state.stored_j = e
-            _cross_activation(state, t, cfg, levels)
-            e = state.stored_j
-        elif net < 0:
-            if state.booted and e > e_cut:
-                target = e_cut
-            elif e > e_floor:
-                target = e_floor
-            else:
-                # Pinned at the floor: whatever trickles in leaks away.
-                state.harvested_j += p_in_w * remaining
-                state.leaked_j += p_in_w * remaining
-                t += remaining
-                break
-            t_cross = (e - target) / (-net)
-            if t_cross >= remaining:
-                e += net * remaining
-                state.harvested_j += p_in_w * remaining
-                state.leaked_j += leak * remaining
-                t += remaining
-                break
-            e = target
-            state.harvested_j += p_in_w * t_cross
-            state.leaked_j += leak * t_cross
-            t += t_cross
-            remaining -= t_cross
-            if target == e_cut and state.booted:
-                state.booted = False
-                state.log(t, "brown_out", store.voltage(e))
-        else:
-            state.harvested_j += p_in_w * remaining
-            state.leaked_j += leak * remaining
-            t += remaining
+    has_load = cfg.load is not None
+    t, e, booted, pending = state.t_s, state.stored_j, state.booted, state._pending_fire_t
+    harvested, leaked, curtailed = state.harvested_j, state.leaked_j, state.curtailed_j
+    idx, acc = 0, 0.0
+    for i, (dt_s, _) in enumerate(pieces):
+        if offset < acc + dt_s - 1e-15:
+            idx = i
             break
+        acc += dt_s
+    else:
+        acc = offset = 0.0
+    into = offset - acc
+    n = len(pieces)
+    left = span_s
 
-    state.stored_j = e
-    state.t_s = t
+    while True:
+        dt_s, p_in_w = pieces[idx]
+        avail = dt_s - into
+        remaining = left if left < avail else avail
+        if remaining > 0:
+            left -= remaining
+        net = p_in_w - leak
+        while remaining > 1e-18:
+            # A boot is in progress: hold at the ceiling until the boot
+            # delay elapses, then fire.
+            if pending is not None:
+                wait = pending - t
+                tau = min(wait, remaining) if wait > 0 else 0.0
+                if tau > 0:
+                    room = e_act - e
+                    gained = min(net * tau, room)
+                    curtailed += max(0.0, net * tau - gained)
+                    e = max(e_floor, e + gained)
+                    harvested += p_in_w * tau
+                    leaked += leak * tau
+                    t += tau
+                    remaining -= tau
+                if pending - t > 1e-15:
+                    break  # boot still pending past this piece
+                pending = None
+                e, booted = _fire(state, t, e, booted, cfg, levels)
+                continue
 
+            if net > 0:
+                if e >= e_act - 1e-21:
+                    if has_load:
+                        e, booted, pending = _cross_activation(state, t, e, booted, cfg, levels)
+                    if pending is not None or e < e_act - 1e-21:
+                        continue
+                    # Pinned at the ceiling; surplus is curtailed.
+                    curtailed += net * remaining
+                    harvested += p_in_w * remaining
+                    leaked += leak * remaining
+                    t += remaining
+                    break
+                t_cross = (e_act - e) / net
+                if t_cross >= remaining:
+                    e += net * remaining
+                    harvested += p_in_w * remaining
+                    leaked += leak * remaining
+                    t += remaining
+                    break
+                e = e_act
+                harvested += p_in_w * t_cross
+                leaked += leak * t_cross
+                t += t_cross
+                remaining -= t_cross
+                e, booted, pending = _cross_activation(state, t, e, booted, cfg, levels)
+            elif net < 0:
+                if booted and e > e_cut:
+                    target = e_cut
+                elif e > e_floor:
+                    target = e_floor
+                else:
+                    # Pinned at the floor: whatever trickles in leaks away.
+                    harvested += p_in_w * remaining
+                    leaked += p_in_w * remaining
+                    t += remaining
+                    break
+                t_cross = (e - target) / (-net)
+                if t_cross >= remaining:
+                    e += net * remaining
+                    harvested += p_in_w * remaining
+                    leaked += leak * remaining
+                    t += remaining
+                    break
+                e = target
+                harvested += p_in_w * t_cross
+                leaked += leak * t_cross
+                t += t_cross
+                remaining -= t_cross
+                if target == e_cut and booted:
+                    booted = False
+                    state.log(t, "brown_out", store.voltage(e))
+            else:
+                harvested += p_in_w * remaining
+                leaked += leak * remaining
+                t += remaining
+                break
 
-def _cross_activation(
-    state: HarvesterState, t: float, cfg: HarvesterConfig, levels: tuple[float, float, float]
-) -> None:
-    """Upward crossing of the activation energy."""
-    store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    if not state.booted:
-        state.booted = True
-        state.log(t, "boot", store.voltage(state.stored_j))
-        if cfg.load is not None:
-            state._pending_fire_t = t + cfg.load.boot_time_s
-        return
-    if cfg.load is not None:
-        _fire(state, t, cfg, levels)
+        if left <= 1e-15:
+            break
+        into = 0.0
+        idx += 1
+        if idx == n:
+            idx = 0
+
+    state.t_s, state.stored_j, state.booted, state._pending_fire_t = t, e, booted, pending
+    state.harvested_j, state.leaked_j, state.curtailed_j = harvested, leaked, curtailed
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +701,7 @@ def run_envelope(
 
     Each segment's `transfer_power_w` and the store's `_store_levels`
     are computed once per call; the periods walked near a threshold
-    step the capacitor from them, with the same floats as calling
-    `step` once per segment.
+    go through `_walk`, the same kernel as `step`.
     """
     if state is None:
         state = new_state(cfg)
@@ -713,7 +733,7 @@ def run_envelope(
     while end_t - state.t_s > 1e-12:
         remaining = end_t - state.t_s
         if remaining < period or state._pending_fire_t is not None:
-            _run_segments(cfg, walk, state, min(period, remaining), period, levels)
+            _walk(state, cfg, walk, state.t_s % period, min(period, remaining), levels)
             continue
         e = state.stored_j
         low_bound = e_cut if state.booted else e_floor
@@ -738,7 +758,7 @@ def run_envelope(
         # periodic fixed point and can be replicated to the end.
         snap = (state.stored_j, state.booted, len(state.events))
         h0, l0, c0 = state.harvested_j, state.leaked_j, state.curtailed_j
-        _run_segments(cfg, walk, state, period, period, levels)
+        _walk(state, cfg, walk, state.t_s % period, period, levels)
         if (state.stored_j, state.booted, len(state.events)) == snap:
             reps = int((end_t - state.t_s) / period)
             if reps >= 1:
@@ -747,46 +767,6 @@ def run_envelope(
                 state.curtailed_j += reps * (state.curtailed_j - c0)
                 state.t_s += reps * period
     return state
-
-
-def _run_segments(
-    cfg: HarvesterConfig,
-    walk: Sequence[tuple[float, float]],
-    state: HarvesterState,
-    span_s: float,
-    period: float,
-    levels: tuple[float, float, float],
-) -> None:
-    """Step a capacitor store through envelope segments for exactly
-    `span_s` seconds, from the phase of `state.t_s` in `period`.
-
-    `walk` holds each segment's (seconds, `transfer_power_w`) and
-    `levels` the store's `_store_levels`, both computed by the caller.
-    """
-    offset = state.t_s % period
-    left = span_s
-    idx = 0
-    acc = 0.0
-    for i, (dt_s, _) in enumerate(walk):
-        if offset < acc + dt_s - 1e-15:
-            idx = i
-            break
-        acc += dt_s
-    else:
-        idx, acc, offset = 0, 0.0, 0.0
-    into = offset - acc
-    n = len(walk)
-    while left > 1e-15:
-        dt_s, watts = walk[idx]
-        avail = dt_s - into
-        tau = left if left < avail else avail
-        if tau > 0:
-            _step_capacitor(state, watts, tau, cfg, levels)
-            left -= tau
-        into = 0.0
-        idx += 1
-        if idx == n:
-            idx = 0
 
 
 def _run_envelope_battery(

@@ -292,9 +292,9 @@ def test_segment_walk_equals_public_stepping(name):
     _, _, ref = _regime(name)
     walk = [(dt, hv.transfer_power_w(p, cfg)) for dt, p in segs]
     period = sum(dt for dt, _ in segs)
-    hv._run_segments(cfg, walk, walked, period, period, hv._store_levels(cfg.storage))
+    hv._walk(walked, cfg, walk, walked.t_s % period, period, hv._store_levels(cfg.storage))
     left = period
-    for dt, p in segs:  # the pieces _run_segments cuts from one period
+    for dt, p in segs:  # the pieces _walk cuts from one period
         tau = min(dt, left)
         hv.step(ref, p, tau, cfg)
         left -= tau
@@ -311,6 +311,19 @@ def test_segment_walk_equals_public_stepping(name):
         "no_load_ceiling": walked.curtailed_j > 0.0,
     }
     assert expect[name], (name, walked)
+
+
+def test_step_books_a_stretch_shorter_than_the_walk_guard():
+    # the walk ends once less than 1e-15 s is left, but never before
+    # stepping its first piece, so a tiny `step` is still booked
+    cfg = hv.battery_free_temp_sensor()
+    st = hv.new_state(cfg)
+    w = hv.transfer_power_w(PowerDbm(-10.0), cfg)
+    hv.step(st, PowerDbm(-10.0), 1e-16, cfg)
+    assert st.t_s == 1e-16
+    assert st.harvested_j == w * 1e-16
+    assert st.leaked_j == cfg.storage.leakage_w * 1e-16
+    assert st.stored_j == (w - cfg.storage.leakage_w) * 1e-16 > 0.0
 
 
 def test_max_operating_range_battery_free_window():
