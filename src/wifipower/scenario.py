@@ -494,12 +494,17 @@ class ReportSet:
         return buf.getvalue()
 
     def harvester_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_s,id,v_store,event\n")
+        """One line per harvester event. A harvester logs few distinct
+        (v_store, event) pairs, so each line tail is formatted once."""
+        parts = ["t_s,id,v_store,event\n"]
         for hid in sorted(self.harvester_events):
+            tails: dict[tuple[float, str], str] = {}
             for t, event, v in self.harvester_events[hid]:
-                buf.write(f"{t:.9f},{hid},{v:.6f},{event}\n")
-        return buf.getvalue()
+                tail = tails.get((v, event))
+                if tail is None:
+                    tail = tails[v, event] = f",{hid},{v:.6f},{event}\n"
+                parts.append(f"{t:.9f}{tail}")
+        return "".join(parts)
 
     def summary_text(self) -> str:
         lines = []
