@@ -8,11 +8,11 @@ firing at an activation voltage.
 
 Everything steps in closed form over intervals of constant incident
 power, so runs are exact and deterministic with no integration tick.
-Long runs over periodic power patterns fast-forward across whole
-periods between threshold crossings, which is what makes a 24 hour
-harvester timeline cheap to simulate. A run works out each segment's
-transfer watts and the store's threshold energies once, and the
-periods it walks near a threshold step the store from those values.
+Long runs over periodic power patterns jump every whole period before
+the next threshold crossing in closed form, which is what makes a 24
+hour harvester timeline cheap to simulate; the period that holds the
+crossing is walked by `_walk`, the one capacitor stepping kernel, which
+`step` calls too.
 
 Calibration notice: the rectifier anchor powers, storage leakage, and
 converter quiescent draw are calibration parameters. The sensitivity
@@ -694,14 +694,22 @@ def run_envelope(
 ) -> HarvesterState:
     """Drive a harvester over a periodic envelope for `duration_s`.
 
-    Whole periods that provably contain no threshold crossing are
-    jumped in closed form, so runtime scales with the number of events
-    (boots, fires, brown-outs), not with simulated time. The envelope
-    phase is locked to absolute time zero.
+    The envelope phase is locked to absolute time zero. A capacitor run
+    works out each segment's `transfer_power_w` and the store's
+    `_store_levels` once, and everything it walks goes through `_walk`,
+    the kernel `step` uses too.
 
-    Each segment's `transfer_power_w` and the store's `_store_levels`
-    are computed once per call; the periods walked near a threshold
-    go through `_walk`, the same kernel as `step`.
+    From a boundary, whole periods with no threshold crossing are
+    jumped in closed form. With `prefix_max` and `prefix_min` the
+    highest and lowest net energy the store reaches within one period
+    and `d_period` its net change over one, period j (from 0) stays
+    clear while e + j*d_period + prefix_max stays below activation and
+    e + j*d_period + prefix_min above the cutoff (the floor before
+    boot). The jump takes every such period, up to the end of the run;
+    then the period with the crossing is walked exactly. A walked
+    period that changes nothing is a fixed point and is replicated to
+    the end. So runtime scales with the number of events (boots, fires,
+    brown-outs), not with simulated time.
     """
     if state is None:
         state = new_state(cfg)
@@ -737,25 +745,25 @@ def run_envelope(
             continue
         e = state.stored_j
         low_bound = e_cut if state.booted else e_floor
-        no_low = e + prefix_min > low_bound + eps
-        no_high = e + prefix_max < e_act - eps
-        if no_low and no_high:
+        if e + prefix_min > low_bound + eps and e + prefix_max < e_act - eps:
             if d_period > 0:
                 room = (e_act - eps - prefix_max - e) / d_period
             elif d_period < 0:
                 room = (e + prefix_min - low_bound - eps) / (-d_period)
             else:
-                room = remaining / period
-            k = min(int(room), int(remaining / period))
-            if k >= 1:
-                state.stored_j += k * d_period
-                state.harvested_j += k * harvest_period
-                state.leaked_j += k * (harvest_period - d_period)
-                state.t_s += k * period
-                continue
-        # Near a threshold or pinned: walk one exact period, and if the
-        # state comes back identical with no events, the run is in a
-        # periodic fixed point and can be replicated to the end.
+                room = math.inf
+            # period j is crossing-free while j < room: jump all of them
+            k = int(remaining / period)
+            if room < k:
+                k = math.ceil(room)
+            state.stored_j += k * d_period
+            state.harvested_j += k * harvest_period
+            state.leaked_j += k * (harvest_period - d_period)
+            state.t_s += k * period
+            continue
+        # A crossing in this period, or pinned: walk it exactly, and if
+        # the state comes back identical with no events, the run is in
+        # a periodic fixed point and can be replicated to the end.
         snap = (state.stored_j, state.booted, len(state.events))
         h0, l0, c0 = state.harvested_j, state.leaked_j, state.curtailed_j
         _walk(state, cfg, walk, state.t_s % period, period, levels)

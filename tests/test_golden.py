@@ -39,7 +39,7 @@ GOLDEN = {
     "camera_throughwall.cfg": {
         "occupancy.csv": "df2df6bde5468692d64b1d68b4e7ac8630348521f31ae60183982385e1c5e65e",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
-        "harvester.csv": "5ec0e1d7cd6e52cace72ad7fe9f2af5d5c6511a5bcf27ad1a96fd69bd9df0796",
+        "harvester.csv": "5eb7ba2b2556975aef9015e321654a662a41abdc6e323c38ad188d81d5add272",
         "summary.txt": "1a444d6e6947a9245cb28313b521d031de42af6773b1f221ed339779f77eebd9",
         "trace.txt": "459cb97b70209bb065e7536470f2fa72c01ab15f3e6e8fcd92403699fbf440b8",
     },
@@ -53,42 +53,42 @@ GOLDEN = {
     "home_1.cfg": {
         "occupancy.csv": "d3ae45f5a4e85aefa6df635b797e6b41c1359a0199efa4d27dc91815d2ab4f13",
         "throughput.csv": "a27eff82a02d7d7152247099bb129b03faf8263673d1c1c4d6db24770a197200",
-        "harvester.csv": "2e9722aaf5d29b1dd998582ebd667271a72cab8e5e32ba7da73d5c2dde9b9a52",
+        "harvester.csv": "a84572a01974a7bf59637d5dc1f269009c1bc28632430987a15a4fdb55c583fa",
         "summary.txt": "d502d7be65a5dad4f5d56409eb0d96424d5a7d57e09c7dad7c69f647ce6c8a7d",
         "trace.txt": "63bcaf0188ec622053c148cfd18793240fcaf0398c9605489b56606920c38c6f",
     },
     "home_2.cfg": {
         "occupancy.csv": "19d908c87276217ecb0f23249e2e0b71eed5b938c118180f40d03e74541be8a9",
         "throughput.csv": "5064c1a30a5cf8add6f4b408cc0620ba7a384fc2e5fa9c438ea5e6e7cb6b81a7",
-        "harvester.csv": "8f99547a57088141b99f4eb8d140c40791bcfcef3faec0cf1163a737585710e9",
+        "harvester.csv": "36ca60c00707eb7eec4a8d9afbc5a1091ad2552cc415300a528a81b7063b42f4",
         "summary.txt": "625df4adf264cf973715598d11594457293952dccb610ff4903eb8fa19c8ed07",
         "trace.txt": "9c612c69d4bc48e4e9f697f128bea1b101c691ce78bc07ac185a3fb378663828",
     },
     "home_3.cfg": {
         "occupancy.csv": "7ab176baa4fb645296c1b64d1fe0f50e59f587bf34476ebbb2838f8008f6b62b",
         "throughput.csv": "c38128899519ae3bb5d0c89502ab76351123c711518f12152bc9050002c06b33",
-        "harvester.csv": "702fa2438d5866214355da4c7ab2e566377d855b08070657453d627c239dfab0",
+        "harvester.csv": "bc2393b4918d6346090903ebd0a50245745caf08d5a2f8bb4cff8190e600ddb8",
         "summary.txt": "03fe0b6983bfdd431a44ac5fd1fd43255d9133de4409f0efacd238dddd4df78a",
         "trace.txt": "59b035bbf28aca21d506015470cc5745e7b0962ca2a4a122bcb539c77719acd1",
     },
     "home_4.cfg": {
         "occupancy.csv": "65673859191568b03f24a8bfe00b1fbdf8107091935730f5180dd66e00ac5ee2",
         "throughput.csv": "d35f3d1667cc7eefae7ab33301f6a2c0e375ee12313c41eae826a959dc086df4",
-        "harvester.csv": "90f419eae3b4c10015724e6df3facba6c6c4ab1da98e345d2105e8de9a821128",
+        "harvester.csv": "d852bc6cb13968e70f070d3edd3b616850ef49551baab9215eb40fc5d5267a1e",
         "summary.txt": "50a6b2963c772892a15cbe0601bd1f22665b6d49e649d2ed642e1df09d2dce73",
         "trace.txt": "8649a0ff0017cc4fc42c6f4f0d09e47ff2ec49b024a64be2d3e5696aa8e064b6",
     },
     "home_5.cfg": {
         "occupancy.csv": "eeb88bcdab4a4d2e687320d0e87e0b79dc8cbb12d847be43a1378ee624bdf27a",
         "throughput.csv": "24b9849b3cb0e44e20597e369ddf3414dd0a0b9506bb7f6e2dab41e3b0f40ce5",
-        "harvester.csv": "334ccf8708b7ea3ece23326bea9f6d0de209cde5b841e291879656eadaf018a0",
+        "harvester.csv": "2a60cac0108e391ebf376d0e9a769960421262683b6a4da93852667afd2fec01",
         "summary.txt": "8d9d9b2ae6b07dcd789eec9a75440ab3e3876730c1f6569d14bd65c6ce7ba9e2",
         "trace.txt": "ab9ddd7b5de89ab4787e5db7f1112a57cd156f6b6f0e3cce1d40d13bafe4305b",
     },
     "home_6.cfg": {
         "occupancy.csv": "737f485af9f52030e99b09a34bc18bdab3c6c159823b4acd4fc13e10ded97693",
         "throughput.csv": "d5c9764361e4c0a9d77cb750160a1047344b944df8ce16772a0d186615c85977",
-        "harvester.csv": "80b8f5abeef4e5a66d64aea7757a0a81cafb2870279136b2e8f052debaf5f012",
+        "harvester.csv": "e35b535b68130f39dae90b62982dfa145c21655f42d91fec595220de8e40af17",
         "summary.txt": "3bff583dcb683f913a8f0627e0a954bfaf8e999d050e2ea8673e1f627df2f8a3",
         "trace.txt": "10b83c18580d4988e50474892ecdd0397e72cfd1dc902cb11c7f3922b62861fa",
     },
@@ -116,7 +116,7 @@ GOLDEN = {
     "temp_sensor_range.cfg": {
         "occupancy.csv": "68d5eeaff25d313df543e456c08de05dbee69af898c92c33e1b47ee9c38b9749",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
-        "harvester.csv": "e4a0487840cc2fd73733c03771e9806b41143424fee88233c6718e7e463a066b",
+        "harvester.csv": "c8acb9470b59983c548ff71a60493bcda33453781c0a197c497d9ef66d7db8b2",
         "summary.txt": "711cf6a7b38e2bff96dfb480c9364af50fdd8c5673fdc7cafd67ac8522dea193",
         "trace.txt": "627bc74e2b627f919bef8ce67ac75387bcf7a83fa47f42eb6c58bb9d92a3b147",
     },
