@@ -697,7 +697,8 @@ def run_envelope(
     The envelope phase is locked to absolute time zero. A capacitor run
     works out each segment's `transfer_power_w` and the store's
     `_store_levels` once, and everything it walks goes through `_walk`,
-    the kernel `step` uses too.
+    the kernel `step` uses too. A run that starts in mid-period first
+    walks to the next period boundary.
 
     From a boundary, whole periods with no threshold crossing are
     jumped in closed form. With `prefix_max` and `prefix_min` the
@@ -738,6 +739,10 @@ def run_envelope(
     e_floor, e_cut, e_act = levels
     eps = 1e-18
 
+    offset = state.t_s % period
+    if offset and end_t - state.t_s > 1e-12:
+        # the jump's prefix bounds start at phase 0: reach a boundary first
+        _walk(state, cfg, walk, offset, min(period - offset, end_t - state.t_s), levels)
     while end_t - state.t_s > 1e-12:
         remaining = end_t - state.t_s
         if remaining < period or state._pending_fire_t is not None:

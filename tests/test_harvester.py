@@ -258,6 +258,30 @@ def test_run_envelope_matches_plain_stepping():
     assert fast.harvested_j == pytest.approx(slow.harvested_j, rel=1e-9)
 
 
+def test_run_envelope_from_mid_period_sees_the_first_brown_out():
+    # the run starts in the off half of the period, a quarter period of
+    # leakage above the cutoff, so it browns out before the next "on"
+    cfg = hv.battery_free_temp_sensor()
+    segs = [(0.005, PowerDbm(-5.0)), (0.005, PowerDbm(-60.0))]
+    _, e_cut, _ = hv._store_levels(cfg.storage)
+
+    def start():
+        return hv.HarvesterState(
+            t_s=0.005, stored_j=e_cut + 0.5 * cfg.storage.leakage_w * 0.005, booted=True
+        )
+
+    fast = hv.run_envelope(cfg, segs, 1.0, state=start())
+    slow = start()
+    for dt, p in [segs[1]] + segs * 99 + [segs[0]]:
+        hv.step(slow, p, dt, cfg)
+    assert [e for _, e, _ in slow.events] == ["brown_out"]
+    assert slow.events[0][0] == pytest.approx(0.0075, abs=1e-12)
+    assert [e for _, e, _ in fast.events] == ["brown_out"]
+    assert fast.events[0][0] == pytest.approx(slow.events[0][0], abs=1e-12)
+    assert fast.t_s == pytest.approx(slow.t_s, abs=1e-12)
+    assert fast.stored_j == pytest.approx(slow.stored_j, rel=1e-9)
+
+
 def _regime(name):
     """(cfg, segments, state) in one regime of the capacitor rule; the
     envelope has 'on' segments above leakage and 'off' ones at zero."""
