@@ -447,22 +447,6 @@ def _fire(
     return new_e, booted
 
 
-def _cross_activation(
-    state: HarvesterState, t: float, e: float, booted: bool, cfg: HarvesterConfig,
-    levels: tuple[float, float, float],
-) -> tuple[float, bool, Optional[float]]:
-    """Upward crossing of the activation energy: boot, or fire when
-    already booted. Returns (e, booted, the time of a pending first fire
-    or None)."""
-    store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    if not booted:
-        state.log(t, "boot", store.voltage(e))
-        return e, True, None if cfg.load is None else t + cfg.load.boot_time_s
-    if cfg.load is None:
-        return e, booted, None
-    return (*_fire(state, t, e, booted, cfg, levels), None)
-
-
 def _walk(
     state: HarvesterState,
     cfg: HarvesterConfig,
@@ -485,8 +469,8 @@ def _walk(
     """
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     e_floor, e_cut, e_act = levels
+    e_top = e_act - 1e-21
     leak = store.leakage_w
-    has_load = cfg.load is not None
     t, e, booted, pending = state.t_s, state.stored_j, state.booted, state._pending_fire_t
     harvested, leaked, curtailed = state.harvested_j, state.leaked_j, state.curtailed_j
     idx, acc = 0, 0.0
@@ -515,8 +499,7 @@ def _walk(
                 wait = pending - t
                 tau = min(wait, remaining) if wait > 0 else 0.0
                 if tau > 0:
-                    room = e_act - e
-                    gained = min(net * tau, room)
+                    gained = min(net * tau, e_act - e)
                     curtailed += max(0.0, net * tau - gained)
                     e = max(e_floor, e + gained)
                     harvested += p_in_w * tau
@@ -530,30 +513,36 @@ def _walk(
                 continue
 
             if net > 0:
-                if e >= e_act - 1e-21:
-                    if has_load:
-                        e, booted, pending = _cross_activation(state, t, e, booted, cfg, levels)
-                    if pending is not None or e < e_act - 1e-21:
-                        continue
+                at_ceiling = e >= e_top
+                if not at_ceiling:
+                    t_cross = (e_act - e) / net
+                    if t_cross >= remaining:
+                        e += net * remaining
+                        harvested += p_in_w * remaining
+                        leaked += leak * remaining
+                        t += remaining
+                        break
+                    e = e_act
+                    harvested += p_in_w * t_cross
+                    leaked += leak * t_cross
+                    t += t_cross
+                    remaining -= t_cross
+                # At activation: boot, or fire when booted. A store that
+                # starts a stretch at the ceiling with no load does neither.
+                if not booted and (cfg.load is not None or not at_ceiling):
+                    booted = True
+                    state.log(t, "boot", store.voltage(e))
+                    if cfg.load is not None:
+                        pending = t + cfg.load.boot_time_s
+                elif booted and cfg.load is not None:
+                    e, booted = _fire(state, t, e, booted, cfg, levels)
+                if at_ceiling and pending is None and e >= e_top:
                     # Pinned at the ceiling; surplus is curtailed.
                     curtailed += net * remaining
                     harvested += p_in_w * remaining
                     leaked += leak * remaining
                     t += remaining
                     break
-                t_cross = (e_act - e) / net
-                if t_cross >= remaining:
-                    e += net * remaining
-                    harvested += p_in_w * remaining
-                    leaked += leak * remaining
-                    t += remaining
-                    break
-                e = e_act
-                harvested += p_in_w * t_cross
-                leaked += leak * t_cross
-                t += t_cross
-                remaining -= t_cross
-                e, booted, pending = _cross_activation(state, t, e, booted, cfg, levels)
             elif net < 0:
                 if booted and e > e_cut:
                     target = e_cut
