@@ -6,7 +6,12 @@ is pinned below. A change that only restructures or speeds up the
 simulator must leave every digest unchanged; a change that moves one
 must say in CHANGES.md which behaviour it changed and why.
 
-Print the current table with:
+No bundled config uses a battery-assisted preset, so `BATTERY_GOLDEN`
+pins the harvester reports of one more config, `BATTERY_CONFIG`, which
+lives here: both battery presets near and far, in the open and behind
+a wall, over an hour.
+
+Print the current tables with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -123,15 +128,55 @@ GOLDEN = {
 }
 
 
-def report_digests(config: str, out_dir: str) -> dict[str, str]:
-    sc = scenario.load_scenario(scenario.bundled_config(config))
-    sc.mac_window_s = MAC_WINDOW_S
+BATTERY_CONFIG = """\
+duration_s = 3600
+seed = 1
+mac_window_s = 0.2
+
+[harvester temp_near]
+kind = temp_battery
+distance_ft = 10
+
+[harvester temp_far]
+kind = temp_battery
+distance_ft = 60
+
+[harvester cam_near]
+kind = camera_battery
+distance_ft = 6
+
+[harvester cam_wall]
+kind = camera_battery
+distance_ft = 8
+wall = hollow_wall
+"""
+BATTERY_REPORTS = ("harvester.csv", "summary.txt")
+
+BATTERY_GOLDEN = {
+    "harvester.csv": "68069bb3302f5fcda32edabf8fc9fc1f4ce8db87d8ddcd8b06797a220292f64f",
+    "summary.txt": "83ba444c56e1235496ca2f2ad4fb275e1c6f3d8f90c483c0598974a7a64f951c",
+}
+
+
+def _digests(
+    sc: scenario.Scenario, out_dir: str, reports: tuple[str, ...]
+) -> dict[str, str]:
     scenario.run(sc).write_outputs(out_dir)
     out = {}
-    for name in REPORTS:
+    for name in reports:
         with open(os.path.join(out_dir, name), "rb") as fh:
             out[name] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def report_digests(config: str, out_dir: str) -> dict[str, str]:
+    sc = scenario.load_scenario(scenario.bundled_config(config))
+    sc.mac_window_s = MAC_WINDOW_S
+    return _digests(sc, out_dir, REPORTS)
+
+
+def battery_digests(out_dir: str) -> dict[str, str]:
+    return _digests(scenario.parse_scenario(BATTERY_CONFIG), out_dir, BATTERY_REPORTS)
 
 
 def test_every_bundled_config_is_pinned():
@@ -142,6 +187,10 @@ def test_every_bundled_config_is_pinned():
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_report_digests_unchanged(config, tmp_path):
     assert report_digests(config, str(tmp_path)) == GOLDEN[config]
+
+
+def test_battery_report_digests_unchanged(tmp_path):
+    assert battery_digests(str(tmp_path)) == BATTERY_GOLDEN
 
 
 if __name__ == "__main__":
@@ -156,4 +205,10 @@ if __name__ == "__main__":
         for name in REPORTS:
             print(f'        "{name}": "{digests[name]}",')
         print("    },")
+    print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = battery_digests(tmp)
+    print("BATTERY_GOLDEN = {")
+    for name in BATTERY_REPORTS:
+        print(f'    "{name}": "{digests[name]}",')
     print("}")
