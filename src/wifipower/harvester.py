@@ -372,13 +372,14 @@ def step(
     (transfer - leakage) watts between threshold crossings; boot, fire
     and brown-out events are located exactly and logged in order. A
     capacitor store steps through `_walk`, the kernel `run_envelope`
-    uses too, as a walk of one piece.
+    uses too, as a walk of one piece; a battery charges by
+    `_charge_battery` at this input's transfer power.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     p_net_in = transfer_power_w(p_in, cfg)
     if isinstance(cfg.storage, BatteryStore):
-        _step_battery(state, p_net_in, dt, cfg)
+        _charge_battery(state, p_net_in, dt, cfg)
     else:
         _walk(state, cfg, [(dt, p_net_in)], 0.0, dt, _store_levels(cfg.storage))
     return state
@@ -394,37 +395,41 @@ def _store_levels(store: CapacitorStore) -> tuple[float, float, float]:
     )
 
 
-def _step_battery(
+def _charge_battery(
     state: HarvesterState, p_dc: float, dt: float, cfg: HarvesterConfig
 ) -> None:
-    store: BatteryStore = cfg.storage  # type: ignore[assignment]
+    """The battery stepping rule, in closed form: `dt` seconds at `p_dc`
+    watts of transfer. The net of the quiescent draw charges the battery
+    (a drain takes at most the charge), and the load fires once per
+    `e_op_j` of net surplus, evenly spaced: never from stored charge."""
     dcdc: BatteryAssistedConverter = cfg.dcdc  # type: ignore[assignment]
+    store: BatteryStore = cfg.storage  # type: ignore[assignment]
     net = p_dc - dcdc.quiescent_w
     state.harvested_j += p_dc * dt
-    leaked = dcdc.quiescent_w * dt
+    if net <= 0:
+        drained = min(state.stored_j, -net * dt)
+        state.leaked_j += p_dc * dt + drained
+        state.stored_j -= drained
+        state._fire_surplus_j = min(state._fire_surplus_j, state.stored_j)
+        state.t_s += dt
+        return
+    state.leaked_j += dcdc.quiescent_w * dt
     charge = state.stored_j + net * dt
-    if charge < 0.0:
-        leaked += charge  # draw can only take what input plus charge provide
-        charge = 0.0
-    fired = 0.0
-    if cfg.load is not None and net > 0:
-        # Energy-neutral operation: one firing per e_op of surplus.
+    if cfg.load is not None:
+        e_op = cfg.load.e_op_j
         surplus = state._fire_surplus_j + net * dt
-        while surplus >= cfg.load.e_op_j:
-            surplus -= cfg.load.e_op_j
-            t_fire = state.t_s + dt - surplus / net
-            drawn = min(charge, cfg.load.e_op_j)
-            charge -= drawn
-            fired += drawn
-            state.log(t_fire, "sensor_fire", store.voltage)
-        state._fire_surplus_j = surplus
-    elif net <= 0:  # a drain leaves no more surplus than charge
-        state._fire_surplus_j = min(state._fire_surplus_j, charge)
-    state.consumed_j += fired
+        n_fires = int(surplus / e_op)
+        if n_fires > 0:
+            t_first = state.t_s + (e_op - state._fire_surplus_j) / net
+            dt_fire = e_op / net
+            for i in range(n_fires):
+                state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
+        state.consumed_j += n_fires * e_op
+        state._fire_surplus_j = surplus - n_fires * e_op
+        charge -= n_fires * e_op
     if charge > store.capacity_j:
         state.curtailed_j += charge - store.capacity_j
         charge = store.capacity_j
-    state.leaked_j += leaked
     state.stored_j = charge
     state.t_s += dt
 
@@ -683,6 +688,10 @@ def run_envelope(
 ) -> HarvesterState:
     """Drive a harvester over a periodic envelope for `duration_s`.
 
+    A battery charges by `_charge_battery`, the rule `step` uses too,
+    here at the envelope's `mean_transfer_power_w` for the whole run:
+    fires are evenly spaced at the mean net surplus.
+
     The envelope phase is locked to absolute time zero. A capacitor run
     works out each segment's `transfer_power_w` and the store's
     `_store_levels` once, and everything it walks goes through `_walk`,
@@ -703,14 +712,13 @@ def run_envelope(
     """
     if state is None:
         state = new_state(cfg)
+    if isinstance(cfg.storage, BatteryStore):
+        _charge_battery(state, mean_transfer_power_w(segments, cfg), duration_s, cfg)
+        return state
     period = sum_in_order(dt for dt, _ in segments)
     if period <= 0:
         raise ValueError("envelope has zero duration")
     end_t = state.t_s + duration_s
-
-    if isinstance(cfg.storage, BatteryStore):
-        _run_envelope_battery(cfg, segments, state, end_t)
-        return state
 
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     # (seconds, transfer watts) of each segment, worked out once per run
@@ -769,48 +777,6 @@ def run_envelope(
                 state.curtailed_j += reps * (state.curtailed_j - c0)
                 state.t_s += reps * period
     return state
-
-
-def _run_envelope_battery(
-    cfg: HarvesterConfig,
-    segments: Sequence[Segment],
-    state: HarvesterState,
-    end_t: float,
-) -> None:
-    """Battery path: charge moves linearly, fires are evenly spaced."""
-    dcdc: BatteryAssistedConverter = cfg.dcdc  # type: ignore[assignment]
-    store: BatteryStore = cfg.storage  # type: ignore[assignment]
-    mean_dc = mean_transfer_power_w(segments, cfg)
-    net = mean_dc - dcdc.quiescent_w
-    duration = end_t - state.t_s
-    state.harvested_j += mean_dc * duration
-    if net <= 0:
-        drained = min(state.stored_j, -net * duration)
-        state.leaked_j += mean_dc * duration + drained
-        state.stored_j -= drained
-        state._fire_surplus_j = min(state._fire_surplus_j, state.stored_j)
-        state.t_s = end_t
-        return
-    state.leaked_j += dcdc.quiescent_w * duration
-    # The net surplus charges the battery and each firing draws one
-    # operation's energy from it, as in _step_battery.
-    charge = state.stored_j + net * duration
-    if cfg.load is not None:
-        surplus = state._fire_surplus_j + net * duration
-        n_fires = int(surplus / cfg.load.e_op_j)
-        if n_fires > 0:
-            t_first = state.t_s + (cfg.load.e_op_j - state._fire_surplus_j) / net
-            dt_fire = cfg.load.e_op_j / net
-            for i in range(n_fires):
-                state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
-        state.consumed_j += n_fires * cfg.load.e_op_j
-        state._fire_surplus_j = surplus - n_fires * cfg.load.e_op_j
-        charge -= n_fires * cfg.load.e_op_j
-    if charge > store.capacity_j:
-        state.curtailed_j += charge - store.capacity_j
-        charge = store.capacity_j
-    state.stored_j = charge
-    state.t_s = end_t
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,45 @@ def test_a_drained_battery_fires_after_a_full_operation_of_surplus(path):
     assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
 
 
+@pytest.mark.parametrize("make", [hv.battery_temp_sensor, hv.battery_camera])
+@pytest.mark.parametrize("dbm", [-8.0, -18.0])  # above and below quiescent_w
+def test_battery_step_and_run_envelope_share_one_charging_rule(make, dbm):
+    # one step and a run of a one-segment envelope at the same constant
+    # input, from the same charged state, fire at the same evenly spaced
+    # times and keep their ledgers closed
+    cfg = make()
+    net = hv.transfer_power_w(PowerDbm(dbm), cfg) - cfg.dcdc.quiescent_w
+    assert (net > 0) == (dbm == -8.0)
+    fires, states = [], []
+    for path in ("step", "run_envelope"):
+        st = hv.new_state(cfg)
+        hv.step(st, PowerDbm(-8.0), 600.0, cfg)
+        n_events = len(st.events)
+        if path == "step":
+            hv.step(st, PowerDbm(dbm), 3600.0, cfg)
+        else:
+            hv.run_envelope(cfg, [(0.01, PowerDbm(dbm))], 3600.0, state=st)
+        assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
+        assert [e for _, e, _ in st.events[n_events:]] == ["sensor_fire"] * (
+            len(st.events) - n_events
+        )
+        fires.append([t for t, _, _ in st.events[n_events:]])
+        states.append(st)
+    stepped, enveloped = fires
+    assert len(stepped) == len(enveloped)
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(stepped, enveloped))
+    assert states[0].t_s == states[1].t_s
+    assert states[0].stored_j == pytest.approx(states[1].stored_j, rel=1e-9)
+    if net > 0:
+        assert len(stepped) >= 5
+        for times in fires:
+            for a, b in zip(times, times[1:]):
+                assert b - a == pytest.approx(cfg.load.e_op_j / net, rel=1e-9)
+    else:
+        assert not stepped
+        assert states[0].stored_j < states[0].harvested_j  # the drain took charge
+
+
 # -- incident power ----------------------------------------------------------
 
 def test_incident_power_single_channel():
