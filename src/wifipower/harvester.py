@@ -532,9 +532,8 @@ def _walk(
                     leaked += leak * t_cross
                     t += t_cross
                     remaining -= t_cross
-                # At activation: boot, or fire when booted. A store that
-                # starts a stretch at the ceiling with no load does neither.
-                if not booted and (cfg.load is not None or not at_ceiling):
+                # At activation: boot, or fire when booted.
+                if not booted:
                     booted = True
                     state.log(t, "boot", store.voltage(e))
                     if cfg.load is not None:

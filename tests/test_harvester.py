@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -122,6 +123,22 @@ def test_boot_never_happens_below_leakage():
     hv.step(st, PowerDbm(-10.0), 86400.0, cfg)
     assert st.count("boot") == 0
     assert not st.booted
+
+
+@pytest.mark.parametrize("start", [1.0, 0.999999])
+def test_a_no_load_store_at_its_ceiling_boots(start):
+    # an unbooted store with no load boots at activation whether it starts
+    # a stretch exactly there or a hair below it, then curtails the rest
+    cfg = dataclasses.replace(hv.battery_free_temp_sensor(), load=None)
+    e_act = hv._store_levels(cfg.storage)[2]
+    st = hv.HarvesterState(stored_j=start * e_act)
+    hv.step(st, PowerDbm(-5.0), 1.0, cfg)
+    assert [e for _, e, _ in st.events] == ["boot"]
+    assert st.events[0][0] <= 1e-5
+    assert st.booted
+    assert st.stored_j == e_act
+    assert st.curtailed_j > 0.0
+    assert abs(ledger_residue(st, start * e_act)) <= 1e-9 * st.harvested_j
 
 
 def test_camera_activation_energy_and_single_fire():
