@@ -83,6 +83,9 @@ class StationConf:
     def burst_period_ms(self) -> float:
         return self.burst_on_ms + self.burst_off_ms
 
+    def burst_frames(self) -> int:
+        return max(1, math.ceil(self.burst_bytes / 1500))
+
     def validate(self) -> None:
         if self.role not in ("client", "neighbor_ap"):
             raise ConfigError(f"station {self.station_id!r}: unknown role {self.role!r}")
@@ -600,10 +603,9 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
         return mac.FlowSpec(name=name, kind=kind, rate_mbps=st.rate_mbps)
     if st.traffic == "burst":
         # the burst's bytes all queue at the start of its on-window
-        frames = max(1, math.ceil(st.burst_bytes / 1500))
         return mac.FlowSpec(
             name=name, kind=kind, rate_mbps=st.rate_mbps,
-            frames_per_burst=frames,
+            frames_per_burst=st.burst_frames(),
             interval_us=st.burst_period_ms() * 1000.0,
             start_us=st.start_ms * 1000.0,
         )
@@ -700,9 +702,8 @@ def run(sc: Scenario) -> ReportSet:
         throughput[st.station_id] = series
         tput_mean[st.station_id] = sum_in_order(series) / len(series) if series else 0.0
         if st.traffic == "burst":
-            frames = max(1, math.ceil(st.burst_bytes / 1500))
             bursts[st.station_id] = router.burst_completion_times_ms(
-                tr, st.station_id, st.burst_period_ms() * 1000.0, frames
+                tr, st.station_id, st.burst_period_ms() * 1000.0, st.burst_frames()
             )
 
     power_stats: dict[int, mac.FlowStats] = {}
