@@ -60,14 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_run(args) -> int:
+def _load(args) -> scenario.Scenario:
+    """The scenario at `args.cfg` with --seed and --duration applied."""
     sc = scenario.load_scenario(args.cfg)
     if args.seed is not None:
         sc.seed = args.seed
     if args.duration is not None:
         sc.duration_s = args.duration
     sc.validate()
-    rep = scenario.run(sc)
+    return sc
+
+
+def _cmd_run(args) -> int:
+    rep = scenario.run(_load(args))
     rep.write_outputs(args.out_dir)
     sys.stdout.write(rep.summary_text())
     return EXIT_OK
@@ -92,12 +97,7 @@ def _parse_sweep_values(var: str, raw: str) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    sc = scenario.load_scenario(args.cfg)
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.duration is not None:
-        sc.duration_s = args.duration
-    sc.validate()
+    sc = _load(args)
     spec = scenario.SweepSpec(args.var, _parse_sweep_values(args.var, args.values))
     seeds = [sc.seed + i for i in range(max(1, args.seeds))]
     rows = scenario.sweep(sc, spec, seeds=seeds)
