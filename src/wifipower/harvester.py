@@ -400,8 +400,8 @@ def _charge_battery(
 ) -> None:
     """The battery stepping rule, in closed form: `dt` seconds at `p_dc`
     watts of transfer. The net of the quiescent draw charges the battery
-    (a drain takes at most the charge), and the load fires once per
-    `e_op_j` of net surplus, evenly spaced: never from stored charge."""
+    (a drain takes at most the charge). The load fires once per `e_op_j`
+    of new net surplus, evenly spaced, never from charge stored before."""
     dcdc: BatteryAssistedConverter = cfg.dcdc  # type: ignore[assignment]
     store: BatteryStore = cfg.storage  # type: ignore[assignment]
     net = p_dc - dcdc.quiescent_w
@@ -419,11 +419,10 @@ def _charge_battery(
         e_op = cfg.load.e_op_j
         surplus = state._fire_surplus_j + net * dt
         n_fires = int(surplus / e_op)
-        if n_fires > 0:
-            t_first = state.t_s + (e_op - state._fire_surplus_j) / net
-            dt_fire = e_op / net
-            for i in range(n_fires):
-                state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
+        t_first = state.t_s + (e_op - state._fire_surplus_j) / net
+        dt_fire = e_op / net
+        for i in range(n_fires):
+            state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
         state.consumed_j += n_fires * e_op
         state._fire_surplus_j = surplus - n_fires * e_op
         charge -= n_fires * e_op
