@@ -16,13 +16,14 @@ power-packet source hold a quiet channel near-continuously while still
 degrading gracefully to fair per-frame contention the moment any other
 station has traffic.
 
-The engine steps from one channel event to the next. Two shortcuts
+The engine steps from one channel event to the next. Three shortcuts
 keep it cheap without changing any output. A station pulls its frame
 arrivals only while it has no frame in service (its queue depth cannot
 fall until it takes its next frame, so every gate decision comes out
-the same as at the arrival instant). And a backoff is drawn straight
-from the station's `getrandbits` with the rejection loop that
-`random.Random.randrange` runs, so the stream is bit-identical to
+the same as at the arrival instant). A pull counts a run of one flow's
+arrivals in closed form, one pass per change of flow. And a backoff is
+drawn straight from the station's `getrandbits` with the rejection loop
+that `random.Random.randrange` runs, so the stream is bit-identical to
 `randrange(cw + 1)`.
 
 A trace is stored as columns. Each ChannelTrace holds an `array('d')`
@@ -320,11 +321,18 @@ class FlowSpec:
         payload_airtime_us(self.size_bytes, self.rate_mbps)
 
 
-def gate_admits(queue_depth: int, gate_threshold: Optional[int]) -> bool:
-    """The queue gate: admit a frame while the station's pending queue
-    depth is below the threshold (depth 5 against threshold 5 drops);
+def gate_admits(queue_depth: int, gate_threshold: Optional[int], frames: int = 1) -> int:
+    """The queue gate: how many of `frames` arriving in a row at a
+    station whose pending queue holds `queue_depth` are admitted. Each is
+    admitted while the depth, counting those admitted before it, is below
+    the threshold (depth 5 against threshold 5 drops), and the rest drop;
     a flow without a threshold is never gated."""
-    return gate_threshold is None or queue_depth < gate_threshold
+    if gate_threshold is None:
+        return frames
+    room = gate_threshold - queue_depth
+    if room <= 0:
+        return 0
+    return frames if frames < room else room
 
 
 def cbr_flow_for_target(
@@ -333,17 +341,14 @@ def cbr_flow_for_target(
     target_mbps: float,
     size_bytes: int = 1500,
     rate_mbps: float = 54.0,
+    start_us: float = 0.0,
 ) -> FlowSpec:
     """CBR flow whose offered load is `target_mbps` of payload bits."""
     if target_mbps <= 0:
         raise ConfigError("target rate must be > 0 Mbps")
-    interval = size_bytes * 8.0 / target_mbps
     return FlowSpec(
-        name=name,
-        kind=kind,
-        size_bytes=size_bytes,
-        rate_mbps=rate_mbps,
-        interval_us=interval,
+        name=name, kind=kind, size_bytes=size_bytes, rate_mbps=rate_mbps,
+        interval_us=size_bytes * 8.0 / target_mbps, start_us=start_us,
     )
 
 
@@ -417,20 +422,6 @@ class _FlowRt:
         self.delivered = 0
         self.lost = 0
 
-    def drop_through(self, up_to: float) -> None:
-        """Drop every arrival at or before `up_to` at once.
-
-        The count comes from floor division, corrected against the
-        exact `start + k * step` expression that times each arrival.
-        """
-        last = int((up_to - self.start_us) // self.step_us)
-        while self.start_us + (last + 1) * self.step_us <= up_to:
-            last += 1
-        while self.start_us + last * self.step_us > up_to:
-            last -= 1
-        self.dropped_gate += (last + 1 - self.emitted) * self.per_step
-        self.emitted = last + 1
-
 
 class _StationRt:
     __slots__ = (
@@ -443,20 +434,14 @@ class _StationRt:
         self.station_id = spec.station_id
         flows = list(spec.flows)
         if spec.is_ap:
-            flows.append(
-                FlowSpec(
-                    name=f"{spec.station_id}.beacon",
-                    kind="beacon",
-                    size_bytes=BEACON_SIZE_BYTES,
-                    rate_mbps=BEACON_RATE_MBPS,
-                    interval_us=BEACON_INTERVAL_US,
-                )
-            )
+            flows.append(FlowSpec(
+                name=f"{spec.station_id}.beacon", kind="beacon", size_bytes=BEACON_SIZE_BYTES,
+                rate_mbps=BEACON_RATE_MBPS, interval_us=BEACON_INTERVAL_US,
+            ))
         self.flows = [_FlowRt(f, params) for f in flows]
         self.backlogged = any(fl.backlogged for fl in self.flows)
-        self.getrandbits = random.Random(
-            station_seed(master_seed, spec.station_id)
-        ).getrandbits
+        seed = station_seed(master_seed, spec.station_id)
+        self.getrandbits = random.Random(seed).getrandbits
         self.rr = 0
         self.head: Optional[_FlowRt] = None  # flow of the frame in service
         self.ready_since = 0.0
@@ -469,14 +454,18 @@ class _StationRt:
         self.next_t = min((fl.next_arrival for fl in self.flows), default=math.inf)
 
     def pull_arrivals(self, up_to: float) -> None:
-        """Emit every arrival at or before `up_to`, in time order.
+        """Emit every arrival at or before `up_to`, in time order; at
+        equal times the flow listed first goes first.
 
-        The admission gate sees the station's total queue depth as it
-        was at each arrival instant, so interleaved flows interact
-        correctly: the engine pulls only while the station is idle, and
-        the depth cannot fall before the station takes its next frame.
-        Nothing leaves the queue during a pull, so the depth only grows:
-        once a flow's gate is shut, all its arrivals up to `up_to` drop.
+        The gate sees the station's total queue depth as it was at each
+        arrival instant: the engine pulls only while the station is idle,
+        and the depth cannot fall before it takes its next frame. Each
+        pass admits a run of the earliest flow's arrivals through
+        `gate_admits`. While the gate is open the run ends just before
+        any other flow's next arrival; once it is shut the run goes
+        through `up_to`, since nothing leaves the queue during a pull.
+        The run is counted by floor division, corrected against the
+        `start + k * step` expression that times each arrival.
         """
         flows = self.flows
         queued = self.queued
@@ -492,19 +481,30 @@ class _StationRt:
                 self.next_t = t_next
                 return
             gate = best.gate
+            end = up_to
             if gate_admits(queued, gate):
-                # the depth only grows, so a burst admits a prefix
-                n = 1
-                while n < best.per_step and gate_admits(queued + n, gate):
-                    n += 1
-                best.queued += n
-                best.admitted += n
-                best.dropped_gate += best.per_step - n
-                queued += n
-                best.emitted += 1
-            else:
-                best.drop_through(up_to)
-            best.next_arrival = best.start_us + best.emitted * best.step_us
+                listed_before = True  # such a flow goes first at a tie
+                for fl in flows:
+                    if fl is best:
+                        listed_before = False
+                    elif fl.next_arrival <= end:
+                        end = fl.next_arrival
+                        if listed_before:
+                            end = math.nextafter(end, -math.inf)
+            start, step = best.start_us, best.step_us
+            last = int((end - start) // step)
+            while start + (last + 1) * step <= end:
+                last += 1
+            while start + last * step > end:
+                last -= 1
+            frames = (last + 1 - best.emitted) * best.per_step
+            n = gate_admits(queued, gate, frames)
+            best.queued += n
+            best.admitted += n
+            best.dropped_gate += frames - n
+            queued += n
+            best.emitted = last + 1
+            best.next_arrival = start + best.emitted * step
 
     def take_head(self, t: float) -> None:
         """Select the next frame to transmit, round-robin across flows.
@@ -590,6 +590,10 @@ def run_mac(
     ids = [s.station_id for s in stations]
     if len(set(ids)) != len(ids):
         raise ConfigError("station ids must be unique")
+    for f in (f for s in stations for f in s.flows if f.interval_us is not None):
+        # past ~2**52 arrivals, consecutive start + k * step stop being distinct
+        if duration_us / f.interval_us >= 2**52:
+            raise ConfigError(f"flow {f.name!r}: over 2**52 arrivals in the MAC window")
     traces: dict[int, ChannelTrace] = {}
     for ch in VALID_CHANNELS:
         chan_stations = [s for s in stations if s.channel == ch]
@@ -718,12 +722,8 @@ def _run_channel(
             st.pull_arrivals(last_instant)
     for st in stations:
         for fl in st.flows:
-            trace.flow_stats[fl.name] = FlowStats(
-                admitted=fl.admitted,
-                dropped_gate=fl.dropped_gate,
-                delivered=fl.delivered,
-                lost=fl.lost,
-            )
+            stats = FlowStats(fl.admitted, fl.dropped_gate, fl.delivered, fl.lost)
+            trace.flow_stats[fl.name] = stats
     return trace
 
 # ---------------------------------------------------------------------------

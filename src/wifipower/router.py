@@ -97,12 +97,14 @@ def throughput_series(
 
 
 def burst_completion_times_ms(
-    trace: mac.ChannelTrace, flow: str, period_us: float, frames_per_burst: int
+    trace: mac.ChannelTrace, flow: str, period_us: float, frames_per_burst: int,
+    start_us: float = 0.0,
 ) -> list[float]:
     """Completion time of each fully delivered burst, in milliseconds.
 
-    A burst issued at k*period completes when its last frame finishes;
-    bursts the run cut off before completion are skipped.
+    Burst k is issued at start + k*period, as the engine times it, and
+    completes when its last frame finishes; bursts the run cut off
+    before completion are skipped.
     """
     if period_us <= 0 or frames_per_burst < 1:
         raise ConfigError("burst period and size must be positive")
@@ -111,7 +113,7 @@ def burst_completion_times_ms(
     for t, c in zip(trace.starts, trace.codes):
         if busy[c] is None:
             continue
-        # Frames of burst k are issued at exactly k*period; attribute by
+        # Frames of burst k are issued together; attribute by
         # issue order since delivery order preserves FIFO within a flow.
         k_seen = done.setdefault(-1, (0, 0.0))[0]
         burst_idx = k_seen // frames_per_burst
@@ -123,7 +125,7 @@ def burst_completion_times_ms(
     for k in sorted(k for k in done if k >= 0):
         n, end = done[k]
         if n == frames_per_burst:
-            out.append((end - k * period_us) / 1000.0)
+            out.append((end - (start_us + k * period_us)) / 1000.0)
     return out
 
 

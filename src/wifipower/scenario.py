@@ -109,6 +109,12 @@ class StationConf:
                 f"station {self.station_id!r}: burst needs burst_bytes, "
                 f"burst_on_ms and burst_off_ms"
             )
+        if self.start_ms < 0:
+            raise ConfigError(f"station {self.station_id!r}: start_ms must be >= 0")
+        if self.start_ms and self.traffic not in ("udp_cbr", "burst"):
+            raise ConfigError(
+                f"station {self.station_id!r}: start_ms applies to udp_cbr and burst traffic"
+            )
         mac.payload_airtime_us(1500, self.rate_mbps)
 
 
@@ -598,7 +604,9 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     kind = "client_data" if via_router else "neighbor_data"
     name = st.station_id
     if st.traffic == "udp_cbr":
-        return mac.cbr_flow_for_target(name, kind, st.target_mbps, rate_mbps=st.rate_mbps)
+        return mac.cbr_flow_for_target(
+            name, kind, st.target_mbps, rate_mbps=st.rate_mbps, start_us=st.start_ms * 1000.0
+        )
     if st.traffic == "backlogged":
         return mac.FlowSpec(name=name, kind=kind, rate_mbps=st.rate_mbps)
     if st.traffic == "burst":
@@ -703,7 +711,8 @@ def run(sc: Scenario) -> ReportSet:
         tput_mean[st.station_id] = sum_in_order(series) / len(series) if series else 0.0
         if st.traffic == "burst":
             bursts[st.station_id] = router.burst_completion_times_ms(
-                tr, st.station_id, st.burst_period_ms() * 1000.0, st.burst_frames()
+                tr, st.station_id, st.burst_period_ms() * 1000.0, st.burst_frames(),
+                st.start_ms * 1000.0,
             )
 
     power_stats: dict[int, mac.FlowStats] = {}

@@ -1,0 +1,155 @@
+"""Property tests of `mac._StationRt.pull_arrivals` against the
+per-arrival admission loop it replaced.
+
+The reference below admits one arrival (a burst of `per_step` frames)
+per pass, the gate deciding frame by frame, and drops a shut-gate
+flow's arrivals through `up_to` at once. The engine admits a whole run
+of a flow's arrivals per pass, so the two must agree on every counter
+after any sequence of pulls and head takes, ties between flows included.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from wifipower import mac
+
+SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def reference_gate_admits(queue_depth, gate_threshold):
+    return gate_threshold is None or queue_depth < gate_threshold
+
+
+def reference_drop_through(fl, up_to):
+    last = int((up_to - fl.start_us) // fl.step_us)
+    while fl.start_us + (last + 1) * fl.step_us <= up_to:
+        last += 1
+    while fl.start_us + last * fl.step_us > up_to:
+        last -= 1
+    fl.dropped_gate += (last + 1 - fl.emitted) * fl.per_step
+    fl.emitted = last + 1
+
+
+def reference_pull_arrivals(self, up_to):
+    flows = self.flows
+    queued = self.queued
+    while True:
+        best = flows[0]
+        t_next = best.next_arrival
+        for fl in flows:
+            if fl.next_arrival < t_next:
+                best = fl
+                t_next = fl.next_arrival
+        if t_next > up_to:
+            self.queued = queued
+            self.next_t = t_next
+            return
+        gate = best.gate
+        if reference_gate_admits(queued, gate):
+            n = 1
+            while n < best.per_step and reference_gate_admits(queued + n, gate):
+                n += 1
+            best.queued += n
+            best.admitted += n
+            best.dropped_gate += best.per_step - n
+            queued += n
+            best.emitted += 1
+        else:
+            reference_drop_through(best, up_to)
+        best.next_arrival = best.start_us + best.emitted * best.step_us
+
+
+@st.composite
+def flow_specs(draw, grid, min_interval, station="s"):
+    """Gated and ungated flows, bursts included, timed on a shared grid
+    so that arrivals of different flows tie."""
+    n = draw(st.integers(1, 4))
+    flows = []
+    for i in range(n):
+        backlogged = draw(st.integers(0, 9)) == 0
+        flows.append(mac.FlowSpec(
+            name=f"{station}.f{i}",
+            kind=draw(st.sampled_from(["client_data", "power_broadcast"])),
+            interval_us=None if backlogged else grid * draw(st.integers(min_interval, 12)),
+            start_us=grid * draw(st.integers(0, 20)),
+            frames_per_burst=draw(st.sampled_from([1, 1, 2, 3, 7])),
+            gate_threshold=draw(st.sampled_from([None, None, 1, 2, 5, 8])),
+        ))
+    return tuple(flows)
+
+
+GRIDS = st.sampled_from([0.1, 0.5, 1.0, 2.5, 7.3])
+
+COUNTERS = ("queued", "admitted", "dropped_gate", "emitted", "next_arrival")
+
+
+def _state(station):
+    flows = [tuple(getattr(fl, k) for k in COUNTERS) for fl in station.flows]
+    return station.queued, station.next_t, flows
+
+
+@SETTINGS
+@given(data=st.data(), grid=GRIDS)
+def test_pull_arrivals_agrees_with_the_per_arrival_loop(data, grid):
+    flows = data.draw(flow_specs(grid, min_interval=1))
+    spec = mac.StationSpec("s", 1, flows=flows, is_ap=data.draw(st.booleans()))
+    params = mac.MacParams()
+    runs = mac._StationRt(spec, 0, params)
+    ref = mac._StationRt(spec, 0, params)
+    t = 0.0
+    for _ in range(data.draw(st.integers(1, 25))):
+        # land on grid points (ties with arrivals) or between them
+        t += grid * data.draw(st.integers(0, 15)) + data.draw(st.sampled_from([0.0, 0.3]))
+        runs.pull_arrivals(t)
+        reference_pull_arrivals(ref, t)
+        assert _state(runs) == _state(ref)
+        for _ in range(data.draw(st.integers(0, 3))):
+            for station in (runs, ref):
+                station.take_head(t)
+                station.head = None
+        assert _state(runs) == _state(ref)
+    for fl in runs.flows:
+        assert fl.admitted + fl.dropped_gate == fl.emitted * fl.per_step
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), grid=GRIDS)
+def test_engine_traces_agree_with_the_per_arrival_loop(data, grid, monkeypatch):
+    stations = [
+        mac.StationSpec(sid, 6, flows=data.draw(flow_specs(grid * 10, 2, sid)), is_ap=sid == "s0")
+        for sid in ("s0", "s1", "s2")[:data.draw(st.integers(1, 3))]
+    ]
+    runs = mac.run_mac(stations, duration_us=20_000.0, seed=4)
+    with monkeypatch.context() as m:
+        m.setattr(mac._StationRt, "pull_arrivals", reference_pull_arrivals)
+        ref = mac.run_mac(stations, duration_us=20_000.0, seed=4)
+    assert mac.export_trace(runs.values()) == mac.export_trace(ref.values())
+    assert ({ch: tr.flow_stats for ch, tr in runs.items()}
+            == {ch: tr.flow_stats for ch, tr in ref.items()})
+
+
+def test_a_flow_listed_first_goes_first_at_a_tie_on_the_pull_instant():
+    # at t = 4 both flows arrive: "j", listed first, meets depth 2 below its
+    # threshold 3 and is admitted before "b" raises the depth to 4
+    flows = (
+        mac.FlowSpec("j", "power_broadcast", interval_us=4.0, start_us=4.0, gate_threshold=3),
+        mac.FlowSpec("b", "client_data", interval_us=2.0),
+    )
+    station = mac._StationRt(mac.StationSpec("s", 1, flows=flows), 0, mac.MacParams())
+    station.pull_arrivals(4.0)
+    j, b = station.flows
+    assert (j.admitted, j.dropped_gate, b.admitted, station.queued) == (1, 0, 3, 4)
+
+
+@pytest.mark.parametrize("frames, depth, threshold", [(1, 0, 5), (9, 3, 5), (4, 7, 5), (6, 2, None)])
+def test_a_run_admits_what_frame_by_frame_admission_admits(frames, depth, threshold):
+    one_by_one = 0
+    for _ in range(frames):
+        one_by_one += reference_gate_admits(depth + one_by_one, threshold)
+    assert mac.gate_admits(depth, threshold, frames) == one_by_one

@@ -1,4 +1,5 @@
 import os
+import signal
 
 import pytest
 
@@ -191,3 +192,83 @@ def test_power_settings_are_checked_under_every_scheme(tmp_path, capsys, scheme,
     assert (tmp_path / "x").exists() == (code == 0)
     if code:
         assert "config error" in capsys.readouterr().err
+
+
+ARRIVALS_CFG = """
+duration_s = 0.02
+seed = 1
+
+[router]
+scheme = BlindUDP
+power_delay_us = {delay!r}
+"""
+
+WINDOW_US = 0.02 * 1e6  # as `scenario.run` scales the 0.02 s window
+
+
+def _run_within(seconds, argv):
+    """`cli.main(argv)`, stopped after `seconds` by an alarm that the CLI
+    reports as a runtime error (exit 3)."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("delay", [1e-300, 0.99 * WINDOW_US / 2**52],
+                         ids=["1e-300", "just_past_the_bound"])
+def test_more_than_2_52_arrivals_in_the_window_exit_2(tmp_path, capsys, delay):
+    cfg = write_cfg(tmp_path, ARRIVALS_CFG.format(delay=delay))
+    assert _run_within(20, ["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    assert "over 2**52 arrivals in the MAC window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delay", [1e-6, 1.01 * WINDOW_US / 2**52],
+                         ids=["1e-6", "just_inside_the_bound"])
+def test_ungated_arrivals_are_counted_in_closed_form(tmp_path, delay):
+    # BlindUDP admits every arrival k * delay < window, however many
+    cfg = write_cfg(tmp_path, ARRIVALS_CFG.format(delay=delay))
+    out = tmp_path / "out"
+    assert _run_within(20, ["run", cfg, "--out-dir", str(out)]) == 0
+    arrivals = int(WINDOW_US / delay)
+    while arrivals * delay < WINDOW_US:
+        arrivals += 1
+    while (arrivals - 1) * delay >= WINDOW_US:
+        arrivals -= 1
+    summary = (out / "summary.txt").read_text()
+    for ch in (1, 6, 11):
+        assert f"power_admitted_ch{ch}={arrivals}\n" in summary
+        assert f"power_dropped_ch{ch}=0\n" in summary
+
+
+START_CFG = """
+duration_s = 0.1
+seed = 5
+
+[router]
+channels = 1
+
+[station c1]
+role = client
+channel = 1
+traffic = {traffic}
+target_mbps = 12
+start_ms = {start}
+"""
+
+
+@pytest.mark.parametrize("traffic, start, message", [
+    ("udp_cbr", -10, "start_ms must be >= 0"),
+    ("backlogged", 5, "start_ms applies to udp_cbr and burst traffic"),
+    ("none", 5, "start_ms applies to udp_cbr and burst traffic"),
+])
+def test_start_ms_without_a_meaning_exits_2(tmp_path, capsys, traffic, start, message):
+    cfg = write_cfg(tmp_path, START_CFG.format(traffic=traffic, start=start))
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err

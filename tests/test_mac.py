@@ -281,14 +281,14 @@ def test_backoff_draw_is_the_randrange_stream(seed):
 
 
 def test_gate_threshold_semantics():
-    assert mac.gate_admits(4, 5) is True
+    assert mac.gate_admits(4, 5) == 1
     # at-or-above the threshold drops
-    assert mac.gate_admits(5, 5) is False
-    assert mac.gate_admits(0, 5) is True
+    assert mac.gate_admits(5, 5) == 0
+    assert mac.gate_admits(0, 5) == 1
 
 
 def test_gate_disabled_admits_everything():
-    assert mac.gate_admits(10_000, None) is True
+    assert mac.gate_admits(10_000, None) == 1
 
 
 def test_gate_monotone_in_depth():

@@ -103,6 +103,20 @@ def test_burst_completion_times():
     assert all(5.0 < c < 15.0 for c in comps)
 
 
+def test_burst_completion_times_count_from_the_burst_start():
+    # a station alone on the channel (no AP beacons) sends each burst the
+    # same way whenever the bursts start, so the times must not move
+    comps = {}
+    for start_us in (0.0, 50_000.0):
+        flow = mac.FlowSpec(name="web", kind="client_data", rate_mbps=54.0,
+                            frames_per_burst=20, interval_us=500_000.0, start_us=start_us)
+        tr = mac.run_mac([mac.StationSpec("r", 1, flows=(flow,))], duration_us=2e6, seed=6)[1]
+        comps[start_us] = router.burst_completion_times_ms(tr, "web", 500_000.0, 20, start_us)
+    assert len(comps[0.0]) == 4
+    assert all(5.0 < c < 15.0 for c in comps[50_000.0])
+    assert comps[50_000.0] == pytest.approx(comps[0.0], abs=1e-9)
+
+
 def test_engine_gates_through_the_same_rule(monkeypatch):
     # the engine gates only through mac.gate_admits: with the rule
     # replaced by one that always admits, the engine drops nothing
@@ -113,6 +127,6 @@ def test_engine_gates_through_the_same_rule(monkeypatch):
     ]
     gated = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
     assert gated.flow_stats["r.power"].dropped_gate > 0
-    monkeypatch.setattr(mac, "gate_admits", lambda depth, threshold: True)
+    monkeypatch.setattr(mac, "gate_admits", lambda depth, threshold, frames=1: frames)
     open_gate = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
     assert open_gate.flow_stats["r.power"].dropped_gate == 0

@@ -361,6 +361,43 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
                     == router.burst_completion_times_ms(again, st.station_id, period_us, 3))
 
 
+CLIENT_START = """
+duration_s = 0.5
+seed = 5
+
+[router]
+channels = 1
+
+[station c1]
+role = client
+channel = 1
+traffic = {traffic}
+target_mbps = 12
+burst_bytes = 30000
+burst_on_ms = 100
+burst_off_ms = 100
+start_ms = {start}
+"""
+
+
+def test_udp_cbr_arrivals_begin_at_start_ms():
+    # a 1500 B frame every 1 ms, from start_ms until the 500 ms window ends
+    for start, arrivals in ((0, 500), (50, 450)):
+        sc = scenario.parse_scenario(CLIENT_START.format(traffic="udp_cbr", start=start))
+        specs, _ = scenario.build_stations(sc)
+        tr = mac.run_mac(specs, duration_us=0.5e6, params=sc.mac_params, seed=sc.seed)[1]
+        assert min(t for t, c in zip(tr.starts, tr.codes) if tr.rows[c].flow == "c1") >= start * 1e3
+        stats = tr.flow_stats["c1"]
+        assert stats.admitted + stats.dropped_gate == arrivals
+
+
+def test_burst_completion_is_measured_from_the_burst_start():
+    sc = scenario.parse_scenario(CLIENT_START.format(traffic="burst", start=50))
+    comps = scenario.run(sc).burst_completions_ms["c1"]
+    # 20 frames at 54 Mbps take about 8 ms, not the 50 ms start on top
+    assert len(comps) == 3 and all(5.0 < c < 20.0 for c in comps)  # at 50, 250, 450 ms
+
+
 def test_router_occupancy_mean_equals_occupancy_of_router_frames():
     sc = scenario.load_scenario(scenario.bundled_config("home_3.cfg"))
     sc.mac_window_s = 0.5
