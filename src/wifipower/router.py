@@ -41,7 +41,9 @@ class Scheme:
 
     def __post_init__(self) -> None:
         if self.name not in SCHEME_NAMES:
-            raise ConfigError(f"unknown scheme {self.name!r}")
+            raise ConfigError(
+                f"unknown scheme {self.name!r} (choose from {SCHEME_NAMES})"
+            )
 
 
 def power_flow(

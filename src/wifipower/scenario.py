@@ -20,14 +20,16 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
 from .errors import ConfigError
-from .units import Distance, Frequency, GainDbi, PowerDbm, sum_in_order
+from .units import METERS_PER_FOOT, Distance, Frequency, GainDbi, PowerDbm, sum_in_order
 
 DEFAULT_MAC_WINDOW_S = 60.0
+#: Most report bins a bin key may ask for over the MAC window.
+MAX_BINS = 10**6
 ENVELOPE_PERIOD_S = 0.010
 
 SWEEP_VARIABLES = (
@@ -70,7 +72,7 @@ class RouterConf:
 @dataclass
 class StationConf:
     station_id: str
-    role: str  # client | neighbor_ap
+    role: str = "client"  # client | neighbor_ap
     channel: int = 1
     rate_mbps: float = 54.0
     traffic: str = "none"  # udp_cbr | backlogged | burst | none
@@ -166,6 +168,17 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        window_ms = self.effective_mac_window_s() * 1000.0
+        for name in ("occupancy_bin_ms", "throughput_bin_ms"):
+            if window_ms / getattr(self, name) > MAX_BINS:
+                raise ConfigError(
+                    f"{name} makes over {MAX_BINS} bins in the "
+                    f"{window_ms / 1000.0} s MAC window"
+                )
+        try:
+            self.router.tx_plan()
+        except ValueError as exc:
+            raise ConfigError(f"router transmit plan: {exc}") from None
         if not self.router.channels:
             raise ConfigError("router needs at least one channel")
         for ch in self.router.channels:
@@ -223,83 +236,85 @@ class Scenario:
 #: they may not hold separators, spaces or comment marks.
 _SAFE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
-_TOP_SCHEMA = {
-    "duration_s": float,
-    "seed": int,
-    "mac_window_s": float,
-    "occupancy_bin_ms": float,
-    "throughput_bin_ms": float,
-}
 
-_ROUTER_SCHEMA = {
-    "scheme": str,
-    "channels": "intlist",
-    "tx_total_dbm": float,
-    "antenna_gain_dbi": float,
-    "n_antennas": int,
-    "correlated": "bool",
-    "beamforming_efficiency": float,
-    "equal_share_rate_mbps": float,
-    "power_delay_us": float,
-    "power_size_bytes": int,
-    "queue_threshold": int,
-}
+def _read_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
-_STATION_SCHEMA = {
-    "role": str,
-    "channel": int,
-    "rate_mbps": float,
-    "traffic": str,
-    "target_mbps": float,
-    "burst_bytes": int,
-    "burst_on_ms": float,
-    "burst_off_ms": float,
-    "start_ms": float,
-}
 
-_HARVESTER_SCHEMA = {
-    "kind": str,
-    "distance_m": float,
-    "distance_ft": float,
-    "wall": str,
-    "g_rx_dbi": float,
-    "channels": "intlist",
-}
+def _read_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
-_MAC_SCHEMA = {
-    "slot_us": float,
-    "sifs_us": float,
-    "difs_us": float,
-    "cw_min": int,
-    "cw_max": int,
-    "phy_overhead_us": float,
-    "ack_airtime_us": float,
-    "retry_limit": int,
+
+def _read_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
+
+
+#: The reader of a config value, by the annotation of its field.
+_READERS = {
+    "float": _read_float,
+    "int": int,
+    "str": str,
+    "bool": _read_bool,
+    "tuple[int, ...]": _read_ints,
+    "Optional[float]": _read_float,
 }
 
 
-def _parse_value(key: str, raw: str, kind, lineno: int):
-    try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(f"not a finite number: {raw!r}")
-            return value
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "intlist":
-            return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
-    raise AssertionError(kind)
+def _keys(cls, skip: tuple[str, ...] = (), **extra) -> dict:
+    """Key -> reader for a section read into `cls`: each field but those
+    in `skip`, with `extra` keys read their own way."""
+    keys = dict(extra)
+    for f in fields(cls):
+        if f.name in skip or f.name in extra:
+            continue
+        if f.type not in _READERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no reader for {f.type!r}")
+        keys[f.name] = _READERS[f.type]
+    return keys
+
+
+#: Section name (None for the top level) -> its keys and their readers.
+_SECTION_KEYS = {
+    None: _keys(Scenario, skip=("router", "stations", "harvesters", "mac_params")),
+    # `scheme` and `equal_share_rate_mbps` together make a router.Scheme
+    "router": _keys(RouterConf, scheme=str, equal_share_rate_mbps=_read_float),
+    "mac": _keys(mac.MacParams),
+    "station": _keys(StationConf, skip=("station_id",)),
+    # `distance_ft` is `distance_m` given in feet
+    "harvester": _keys(
+        HarvesterConf, skip=("harvester_id",), distance_ft=_read_float, wall=rf.WallMaterial
+    ),
+}
+
+
+def _build_section(name: str, sid: Optional[str], keys: dict):
+    """The conf object of one section, validated as far as it alone can be."""
+    if name == "router":
+        rate = keys.pop("equal_share_rate_mbps", None)
+        if "scheme" in keys:
+            keys["scheme"] = router.Scheme(keys["scheme"], equal_share_rate_mbps=rate)
+        return RouterConf(**keys)
+    if name == "mac":
+        return mac.MacParams(**keys)
+    if name == "station":
+        conf = StationConf(sid, **keys)
+    else:
+        if "distance_ft" in keys:
+            if "distance_m" in keys:
+                raise ConfigError(
+                    f"harvester {sid!r}: give distance_ft or distance_m, not both"
+                )
+            keys["distance_m"] = keys.pop("distance_ft") * METERS_PER_FOOT
+        conf = HarvesterConf(sid, **keys)
+    conf.validate()
+    return conf
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -308,16 +323,9 @@ def parse_scenario(text: str) -> Scenario:
     Errors carry the line number and the offending key or section.
     """
     top: dict = {}
-    rconf: dict = {}
-    mconf: dict = {}
-    stations: list[StationConf] = []
-    harvesters: list[HarvesterConf] = []
-    section: Optional[str] = None
-    target: Optional[dict] = None
-    schema = _TOP_SCHEMA
-
-    sections_seen = set()
-    pending: list[tuple[str, dict, int]] = []
+    keys, section = top, None
+    # (name, id, header line, keys) of each section, in file order
+    sections: list[tuple[str, Optional[str], int, dict]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -325,107 +333,52 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
-            parts = header.split(None, 1)
-            name = parts[0]
-            if name == "router":
-                section, target, schema = "router", rconf, _ROUTER_SCHEMA
-            elif name == "mac":
-                section, target, schema = "mac", mconf, _MAC_SCHEMA
-            elif name in ("station", "harvester"):
-                if len(parts) != 2:
-                    raise ConfigError(f"line {lineno}: {name} section needs an id")
-                if not _SAFE_ID.fullmatch(parts[1]):
+            section, *ids = header.split(None, 1) or [""]
+            sid = ids[0] if ids else None
+            if section not in _SECTION_KEYS:
+                raise ConfigError(f"line {lineno}: unknown section [{header}]")
+            if section in ("station", "harvester"):
+                if sid is None:
+                    raise ConfigError(f"line {lineno}: {section} section needs an id")
+                if not _SAFE_ID.fullmatch(sid):
                     raise ConfigError(
-                        f"line {lineno}: {name} id {parts[1]!r} may hold only "
+                        f"line {lineno}: {section} id {sid!r} may hold only "
                         f"letters, digits, '_', '.' and '-'"
                     )
-                target = {"_id": parts[1]}
-                pending.append((name, target, lineno))
-                section = name
-                schema = _STATION_SCHEMA if name == "station" else _HARVESTER_SCHEMA
-            else:
-                raise ConfigError(f"line {lineno}: unknown section [{header}]")
-            if name in ("router", "mac"):
-                if name in sections_seen:
-                    raise ConfigError(f"line {lineno}: duplicate section [{name}]")
-                sections_seen.add(name)
+            elif sid is not None:
+                raise ConfigError(f"line {lineno}: section [{section}] takes no id")
+            elif any(s[0] == section for s in sections):
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            keys = {}
+            sections.append((section, sid, lineno, keys))
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw_val = line.partition("=")
         key = key.strip()
-        raw_val = raw_val.strip()
-        if section is None:
-            if key not in _TOP_SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            top[key] = _parse_value(key, raw_val, _TOP_SCHEMA[key], lineno)
+        readers = _SECTION_KEYS[section]
+        if key not in readers:
+            where = f" in [{section}]" if section else ""
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")
+        try:
+            keys[key] = readers[key](raw_val.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
+
+    for key in ("duration_s", "seed"):
+        if key not in top:
+            raise ConfigError(f"missing mandatory key {key!r}")
+    confs: dict = {"stations": [], "harvesters": []}
+    for name, sid, lineno, data in sections:
+        try:
+            conf = _build_section(name, sid, data)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        if sid is None:
+            confs["mac_params" if name == "mac" else name] = conf
         else:
-            if key not in schema:
-                raise ConfigError(
-                    f"line {lineno}: unknown key {key!r} in [{section}]"
-                )
-            assert target is not None
-            target[key] = _parse_value(key, raw_val, schema[key], lineno)
-
-    if "duration_s" not in top:
-        raise ConfigError("missing mandatory key 'duration_s'")
-    if "seed" not in top:
-        raise ConfigError("missing mandatory key 'seed'")
-
-    rc = RouterConf()
-    rate = rconf.pop("equal_share_rate_mbps", None)
-    if "scheme" in rconf:
-        name = rconf.pop("scheme")
-        if name not in router.SCHEME_NAMES:
-            raise ConfigError(
-                f"unknown scheme {name!r} (choose from {router.SCHEME_NAMES})"
-            )
-        rc.scheme = router.Scheme(name, equal_share_rate_mbps=rate)
-    for k, v in rconf.items():
-        setattr(rc, k, v)
-
-    for kind, data, lineno in pending:
-        data = dict(data)
-        sid = data.pop("_id")
-        if kind == "station":
-            st = StationConf(station_id=sid, role=data.pop("role", "client"))
-            for k, v in data.items():
-                setattr(st, k, v)
-            stations.append(st)
-        else:
-            hc = HarvesterConf(harvester_id=sid)
-            if "distance_ft" in data and "distance_m" in data:
-                raise ConfigError(
-                    f"line {lineno}: harvester {sid!r}: give distance_ft or "
-                    f"distance_m, not both"
-                )
-            if "distance_ft" in data:
-                hc.distance_m = data.pop("distance_ft") * 0.3048
-            if "wall" in data:
-                wall_name = data.pop("wall")
-                try:
-                    hc.wall = rf.WallMaterial(wall_name)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: harvester {sid!r}: unknown wall "
-                        f"{wall_name!r}"
-                    ) from None
-            for k, v in data.items():
-                setattr(hc, k, v)
-            harvesters.append(hc)
-
-    params = mac.MacParams(**mconf) if mconf else mac.MacParams()
-    sc = Scenario(
-        duration_s=top["duration_s"],
-        seed=top["seed"],
-        router=rc,
-        stations=stations,
-        harvesters=harvesters,
-        mac_params=params,
-        mac_window_s=top.get("mac_window_s"),
-        occupancy_bin_ms=top.get("occupancy_bin_ms", 500.0),
-        throughput_bin_ms=top.get("throughput_bin_ms", 500.0),
-    )
+            confs[name + "s"].append(conf)
+    sc = Scenario(**top, **confs)
     sc.validate()
     return sc
 
@@ -805,7 +758,7 @@ def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
     if variable == "distance":
         if not out.harvesters:
             raise ConfigError("distance sweep needs a harvester")
-        out.harvesters[0].distance_m = float(value) * 0.3048  # values in feet
+        out.harvesters[0].distance_m = float(value) * METERS_PER_FOOT  # values in feet
     elif variable == "inter_packet_delay":
         out.router.power_delay_us = float(value)
     elif variable == "udp_target_rate":

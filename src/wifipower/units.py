@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-FEET_PER_METER = 1.0 / 0.3048
+METERS_PER_FOOT = 0.3048
+FEET_PER_METER = 1.0 / METERS_PER_FOOT
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -137,7 +138,7 @@ class Distance:
 
     @classmethod
     def from_feet(cls, feet: float) -> "Distance":
-        return cls(feet * 0.3048)
+        return cls(feet * METERS_PER_FOOT)
 
     @property
     def feet(self) -> float:

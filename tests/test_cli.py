@@ -1,9 +1,11 @@
+import argparse
 import os
 import signal
 
 import pytest
 
 from wifipower import cli, router, scenario
+from wifipower.errors import ConfigError
 
 
 def write_cfg(tmp_path, text):
@@ -64,6 +66,28 @@ def test_unsafe_id_exits_2_with_its_line(tmp_path, capsys, section):
     assert rc == 2
     line = BASIC.count("\n") + 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["[]", "[ ]"])
+def test_empty_section_header_exits_2_with_its_line(tmp_path, capsys, header):
+    cfg = write_cfg(tmp_path, BASIC + header + "\n")
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    line = BASIC.count("\n") + 1
+    assert f"config error: line {line}: unknown section []" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_antennas = 0", "n_ant must be >= 1, got 0"),
+    ("beamforming_efficiency = 0", "beamforming_efficiency must be in (0, 1], got 0.0"),
+    ("beamforming_efficiency = 2", "beamforming_efficiency must be in (0, 1], got 2.0"),
+], ids=["no_antennas", "efficiency_zero", "efficiency_two"])
+def test_bad_transmit_plan_exits_2(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, BASIC + line + "\n")
+    rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config error: router transmit plan: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -151,6 +175,17 @@ def test_non_finite_duration_override_exit_2(tmp_path, capsys):
     rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x"), "--duration", "nan"])
     assert rc == 2
     assert "duration_s must be finite and > 0" in capsys.readouterr().err
+
+
+def test_duration_override_past_a_million_bins_rejected(tmp_path):
+    # 0.01 ms bins: 3e5 over the 3 s window, 6e6 over the 60 s window
+    # that a 1000 s duration gives
+    cfg = write_cfg(tmp_path, BASIC.replace("seed = 5\n", "seed = 5\noccupancy_bin_ms = 0.01\n"))
+    args = argparse.Namespace(cfg=cfg, seed=None, duration=None)
+    assert cli._load(args).occupancy_bin_ms == 0.01
+    args.duration = 1000.0
+    with pytest.raises(ConfigError, match="occupancy_bin_ms makes over 1000000 bins"):
+        cli._load(args)
 
 
 @pytest.mark.parametrize("window", ["nan,1000", "0,inf", "abc,1", "0", "0,1,2"])
@@ -271,4 +306,4 @@ start_ms = {start}
 def test_start_ms_without_a_meaning_exits_2(tmp_path, capsys, traffic, start, message):
     cfg = write_cfg(tmp_path, START_CFG.format(traffic=traffic, start=start))
     assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
-    assert message in capsys.readouterr().err
+    assert f"config error: line 8: station 'c1': {message}\n" in capsys.readouterr().err

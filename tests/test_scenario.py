@@ -68,8 +68,69 @@ def test_parse_requires_seed():
 
 def test_parse_rejects_unknown_wall():
     bad = MINIMAL + "\n[harvester h2]\nkind = temp_battery_free\nwall = cardboard\n"
-    with pytest.raises(ConfigError, match="cardboard"):
+    with pytest.raises(ConfigError, match="line 20: key 'wall': 'cardboard'"):
         scenario.parse_scenario(bad)
+
+
+def test_section_keys_are_the_fields_of_each_conf():
+    assert {name: set(keys) for name, keys in scenario._SECTION_KEYS.items()} == {
+        None: {"duration_s", "seed", "mac_window_s", "occupancy_bin_ms",
+               "throughput_bin_ms"},
+        "router": {"scheme", "channels", "tx_total_dbm", "antenna_gain_dbi",
+                   "n_antennas", "correlated", "beamforming_efficiency",
+                   "equal_share_rate_mbps", "power_delay_us", "power_size_bytes",
+                   "queue_threshold"},
+        "station": {"role", "channel", "rate_mbps", "traffic", "target_mbps",
+                    "burst_bytes", "burst_on_ms", "burst_off_ms", "start_ms"},
+        "harvester": {"kind", "distance_m", "distance_ft", "wall", "g_rx_dbi",
+                      "channels"},
+        "mac": {"slot_us", "sifs_us", "difs_us", "cw_min", "cw_max",
+                "phy_overhead_us", "ack_airtime_us", "retry_limit"},
+    }
+
+
+def test_a_field_without_a_reader_has_no_key():
+    with pytest.raises(TypeError, match="RouterConf.scheme: no reader"):
+        scenario._keys(scenario.RouterConf)
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[station c2]\nrole = client\nstart_ms = -10", "station 'c2': start_ms must be >= 0"),
+    ("[station c2]\nrole = relay", "station 'c2': unknown role 'relay'"),
+    ("[harvester h2]\nkind = toaster", "harvester 'h2': unknown kind 'toaster'"),
+    ("[harvester h2]\ndistance_ft = 3\ndistance_m = 1",
+     "harvester 'h2': give distance_ft or distance_m, not both"),
+    ("[mac]\nslot_us = 8", "difs must equal sifs + 2*slot"),
+    ("[mac x]", "section [mac] takes no id"),
+], ids=["start_ms", "role", "kind", "two_distances", "mac", "mac_id"])
+def test_section_errors_carry_the_header_line(section, message):
+    header = MINIMAL.count("\n") + 2
+    with pytest.raises(ConfigError) as exc:
+        scenario.parse_scenario(MINIMAL + "\n" + section + "\n")
+    assert str(exc.value).startswith(f"line {header}: {message}")
+
+
+def test_unknown_scheme_carries_the_router_line():
+    with pytest.raises(ConfigError, match="line 5: unknown scheme 'Fast'"):
+        scenario.parse_scenario(MINIMAL.replace("scheme = PoWiFi", "scheme = Fast"))
+
+
+@pytest.mark.parametrize("line", [
+    "occupancy_bin_ms = 1e-300", "throughput_bin_ms = 1e-300",
+    "occupancy_bin_ms = 0.00499",
+])
+def test_more_than_a_million_bins_rejected(line):
+    # MINIMAL's window is 5 s, so a bin of 5 us or less makes 10**6 bins
+    name = line.split()[0]
+    with pytest.raises(ConfigError, match=f"{name} makes over 1000000 bins"):
+        scenario.parse_scenario(MINIMAL.replace("seed = 3\n", "seed = 3\n" + line + "\n"))
+
+
+def test_a_million_bins_accepted():
+    sc = scenario.parse_scenario(
+        MINIMAL.replace("seed = 3\n", "seed = 3\noccupancy_bin_ms = 0.005\n")
+    )
+    assert sc.effective_mac_window_s() * 1000.0 / sc.occupancy_bin_ms == 10**6
 
 
 def test_bundled_configs_all_parse():
