@@ -15,8 +15,9 @@ from wifipower.errors import ConfigError
 
 SETTINGS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 
-CONFIGS = [p.read_text() for p in sorted((Path(scenario.__file__).parent / "configs").glob("*.cfg"))]
-DEFAULT = (Path(scenario.bundled_config("powifi_default.cfg"))).read_text()
+CONFIG_DIR = Path(scenario.bundled_config("powifi_default.cfg")).parent
+CONFIGS = [p.read_text() for p in sorted(CONFIG_DIR.glob("*.cfg"))]
+DEFAULT = (CONFIG_DIR / "powifi_default.cfg").read_text()
 KEYS = sorted({key for keys in scenario._SECTION_KEYS.values() for key in keys})
 TOKENS = st.one_of(
     st.sampled_from([
