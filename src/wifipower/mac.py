@@ -235,45 +235,90 @@ def window_length(window: tuple[float, float]) -> float:
     return t1 - t0
 
 
-def bin_sums(
-    trace: ChannelTrace, values: Sequence[Optional[float]], bin_us: float, n: int
-) -> tuple[list[float], float]:
-    """Sums of `values[code]` over the frames of `trace`, in frame order:
-    per bin of `n`, and over the whole window 0 <= t < duration_us.
-    Codes whose value is None are left out.
+def bin_count(window_us: float, bin_us: float) -> int:
+    """Number of report bins of `bin_us` over a window: the whole bins
+    that fit in it, at least one."""
+    return max(1, int(window_us // bin_us))
 
-    Bin i is the window i*bin_us <= t < (i+1)*bin_us, the edge test of
-    `occupancy`; a frame before 0, at or past n*bin_us, or at NaN is in
-    no bin. Frames in start-time order mostly share the bin of the
-    previous one, so that bin, cut at the window end, is tried first; a
-    frame inside it belongs to both sums.
+
+def bin_at(t: float, bin_us: float, n: int, end: float) -> tuple[int, float, float]:
+    """Bin i of `n` bins of `bin_us`, cut at `end`, that holds `t`, and its
+    edges lo <= t < hi: the edge test of `occupancy`, which corrects the
+    floor division where it lands one bin off an edge. A t in no bin
+    (before 0, at or past `end`, NaN) gets i = n and empty edges."""
+    if not 0.0 <= t < end:
+        return n, 0.0, 0.0
+    i = min(int(t // bin_us), n - 1)
+    while i * bin_us > t:
+        i -= 1
+    while (i + 1) * bin_us <= t:
+        i += 1
+    return i, i * bin_us, min((i + 1) * bin_us, end)
+
+
+def on_air_us(row: FrameRow, phy_overhead_us: float) -> float:
+    """A frame's time with its sender on the air: payload plus PHY, not
+    the SIFS/ACK tail of a delivered unicast, which the receiver sends."""
+    return min(row.busy_time_us, row.payload_airtime_us + phy_overhead_us)
+
+
+class ChannelSums(NamedTuple):
+    """One channel's report sums, from `channel_sums`."""
+
+    occupancy_us: list[float]  # router payload airtime per occupancy bin
+    payload_us: float  # router payload airtime over 0 <= t < duration
+    bits: dict[str, list[float]]  # flow -> delivered payload bits per throughput bin
+    on_air_us: float  # router on-air time
+
+
+def channel_sums(
+    trace: ChannelTrace,
+    stations: Iterable[str],
+    occupancy_bin_us: float,
+    throughput_bin_us: float,
+    phy_overhead_us: float = 24.0,
+) -> ChannelSums:
+    """Every report sum of one channel, in one pass over its frames.
+
+    The frames of `stations` (the router's) make the occupancy sums and
+    the on-air time, and each flow's delivered frames make its bits.
+    Every sum adds in frame order, so a bin's sum over its length is
+    `occupancy` of its window, float for float. Frames in start-time
+    order mostly share the previous frame's bins, so those are tried
+    before `bin_at` looks a bin up.
     """
     duration = trace.duration_us
-    end = n * bin_us
-    sums = [0.0] * n
-    total = 0.0
-    i, lo, hi = 0, 0.0, min(bin_us, duration)  # the bin of the previous frame
+    keep = set(stations)
+    n_occ = bin_count(duration, occupancy_bin_us)
+    n_tput = bin_count(duration, throughput_bin_us)
+    occ = [0.0] * (n_occ + 1)  # the last slot takes the frames in no bin
+    bits = {row.flow: [0.0] * (n_tput + 1) for row in trace.rows}
+    ours = [
+        (row.payload_airtime_us, on_air_us(row, phy_overhead_us))
+        if row.station_id in keep else None
+        for row in trace.rows
+    ]
+    delivered = [
+        (bits[row.flow], row.size_bytes * 8.0) if row.outcome == "delivered" else None
+        for row in trace.rows
+    ]
+    payload = on = 0.0
+    oi, olo, ohi = ti, tlo, thi = 0, 0.0, 0.0
     for t, c in zip(trace.starts, trace.codes):
-        v = values[c]
-        if v is None:
-            continue
-        if lo <= t < hi:
-            total += v
-            sums[i] += v
-            continue
-        if 0.0 <= t < duration:
-            total += v
-        if not 0.0 <= t < end:
-            continue
-        # floor division can land one bin off the edges i * bin_us
-        i = min(int(t // bin_us), n - 1)
-        while i * bin_us > t:
-            i -= 1
-        while (i + 1) * bin_us <= t:
-            i += 1
-        lo, hi = i * bin_us, min((i + 1) * bin_us, duration)
-        sums[i] += v
-    return sums, total
+        if ours[c] is not None:
+            v, air = ours[c]
+            on += air
+            if 0.0 <= t < duration:
+                payload += v
+            if not olo <= t < ohi:
+                oi, olo, ohi = bin_at(t, occupancy_bin_us, n_occ, n_occ * occupancy_bin_us)
+            occ[oi] += v
+        if delivered[c] is not None:
+            series, b = delivered[c]
+            if not tlo <= t < thi:
+                ti, tlo, thi = bin_at(t, throughput_bin_us, n_tput, n_tput * throughput_bin_us)
+            series[ti] += b
+    return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()}, on)
 
 
 def cumulative_occupancy(

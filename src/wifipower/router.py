@@ -84,17 +84,14 @@ def power_flow(
 def throughput_series(
     trace: mac.ChannelTrace, flow: str, bin_ms: float = 500.0
 ) -> list[float]:
-    """Delivered payload Mbps of one flow per time bin.
-
-    A frame counts toward the bin its transmission starts in, placed by
-    `mac.bin_sums` as occupancy bins are.
-    """
+    """Delivered payload Mbps of one flow per time bin, from
+    `mac.channel_sums`, whose bins place a frame as occupancy bins do."""
     if bin_ms <= 0:
         raise ConfigError("bin width must be > 0 ms")
     bin_us = bin_ms * 1000.0
-    n_bins = max(1, int(trace.duration_us // bin_us))
-    frame_bits = _per_code(trace, flow, lambda row: row.size_bytes * 8.0)
-    bits, _ = mac.bin_sums(trace, frame_bits, bin_us, n_bins)
+    sums = mac.channel_sums(trace, (), bin_us, bin_us)
+    # a flow with no frame reads zero on the same grid as the occupancy bins
+    bits = sums.bits.get(flow, [0.0] * len(sums.occupancy_us))
     return [b / bin_us for b in bits]  # bits per us == Mbps
 
 

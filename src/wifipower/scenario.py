@@ -412,7 +412,6 @@ def bundled_config(name: str) -> str:
 @dataclass
 class ReportSet:
     scenario: Scenario
-    bin_starts_ms: list[float]
     occupancy_bins: dict[int, list[float]]  # channel -> per-bin occupancy
     occupancy_mean: dict[int, float]
     cumulative_mean: float
@@ -426,23 +425,20 @@ class ReportSet:
     router_station_ids: tuple[str, ...]
 
     def cumulative_bins(self) -> list[float]:
-        out = []
-        for i in range(len(self.bin_starts_ms)):
-            out.append(sum_in_order(self.occupancy_bins[ch][i] for ch in self.occupancy_bins))
-        return out
+        return [sum_in_order(col) for col in zip(*self.occupancy_bins.values())]
 
     # -- outputs ------------------------------------------------------------
 
     def occupancy_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t_ms,ch1,ch6,ch11,cumulative\n")
-        cum = self.cumulative_bins()
-        for i, t in enumerate(self.bin_starts_ms):
-            cells = [f"{t:.1f}"]
+        bin_ms = self.scenario.occupancy_bin_ms
+        for i, cum in enumerate(self.cumulative_bins()):
+            cells = [f"{i * bin_ms:.1f}"]
             for ch in (1, 6, 11):
                 v = self.occupancy_bins.get(ch)
                 cells.append(f"{v[i]:.6f}" if v is not None else "0.000000")
-            cells.append(f"{cum[i]:.6f}")
+            cells.append(f"{cum:.6f}")
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 
@@ -579,31 +575,23 @@ def occupancy_bins(
     stations: Optional[Sequence[str]] = None,
 ) -> tuple[list[float], list[float], float]:
     """Bin start times (ms), `mac.occupancy` of each bin, and the
-    payload airtime (us) of the whole window, in one pass.
+    payload airtime (us) of the whole window, from `mac.channel_sums`.
 
-    Bin i is the window (i*bin_us, (i+1)*bin_us); `mac.bin_sums` places
-    each frame by the edge test `mac.occupancy` uses and keeps frame
-    order, so every value equals `mac.occupancy` of that window float
-    for float.
     `stations`, when given, keeps only the frames those stations sent.
-    The payload airtime is that of the kept frames starting in
-    (0, duration), summed in frame order, as `mac.occupancy` of that
-    window sums it.
     """
     bin_us = bin_ms * 1000.0
-    n = max(1, int(trace.duration_us // bin_us))
-    keep = None if stations is None else set(stations)
-    payload = [
-        row.payload_airtime_us if keep is None or row.station_id in keep else None
-        for row in trace.rows
+    if stations is None:
+        stations = [row.station_id for row in trace.rows]
+    sums = mac.channel_sums(trace, stations, bin_us, bin_us)
+    n = len(sums.occupancy_us)
+    return [i * bin_ms for i in range(n)], _occupancy(sums, bin_us), sums.payload_us
+
+
+def _occupancy(sums: mac.ChannelSums, bin_us: float) -> list[float]:
+    return [
+        v / mac.window_length((i * bin_us, (i + 1) * bin_us))
+        for i, v in enumerate(sums.occupancy_us)
     ]
-    totals, total = mac.bin_sums(trace, payload, bin_us, n)
-    starts = [i * bin_ms for i in range(n)]
-    vals = [
-        totals[i] / mac.window_length((i * bin_us, (i + 1) * bin_us))
-        for i in range(n)
-    ]
-    return starts, vals, total
 
 
 def harvest_duty(
@@ -611,16 +599,12 @@ def harvest_duty(
     router_ids: tuple[str, ...],
     phy_overhead_us: float = 24.0,
 ) -> float:
-    """Fraction of the window with router RF on the air (payload + PHY).
-
-    Excludes the SIFS/ACK tail of unicast busy time: the ACK comes from
-    the client's position, not the router's.
-    """
+    """Fraction of the window with router RF on the air (`mac.on_air_us`):
+    the duty `run` takes from `mac.channel_sums`, in one sum over the codes."""
     keep = set(router_ids)
     # frames of other stations add 0.0, which leaves a sum from 0.0 as it is
     on_air = [
-        min(row.busy_time_us, row.payload_airtime_us + phy_overhead_us)
-        if row.station_id in keep else 0.0
+        mac.on_air_us(row, phy_overhead_us) if row.station_id in keep else 0.0
         for row in trace.rows
     ]
     on = 0.0
@@ -635,37 +619,36 @@ def run(sc: Scenario) -> ReportSet:
     specs, router_ids = build_stations(sc)
     window_us = sc.effective_mac_window_s() * 1e6
     traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
+    occ_bin_us = sc.occupancy_bin_ms * 1000.0
+    tput_bin_us = sc.throughput_bin_ms * 1000.0
+    sums = {
+        ch: mac.channel_sums(
+            tr, router_ids, occ_bin_us, tput_bin_us, sc.mac_params.phy_overhead_us
+        )
+        for ch, tr in traces.items()
+    }
 
-    bin_starts: list[float] = []
     occ_bins: dict[int, list[float]] = {}
     occ_mean: dict[int, float] = {}
     for ch in sc.router.channels:
-        tr = traces.get(ch)
-        if tr is None:
-            continue
-        bin_starts, occ_bins[ch], payload_us = occupancy_bins(
-            tr, sc.occupancy_bin_ms, router_ids
-        )
-        occ_mean[ch] = payload_us / mac.window_length((0.0, window_us))
+        if ch in sums:
+            occ_bins[ch] = _occupancy(sums[ch], occ_bin_us)
+            occ_mean[ch] = sums[ch].payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())
 
     throughput: dict[str, list[float]] = {}
     tput_mean: dict[str, float] = {}
     bursts: dict[str, list[float]] = {}
     for st in sc.stations:
-        if st.traffic == "none":
+        if st.traffic == "none" or st.channel not in sums:
             continue
-        ch = st.channel
-        tr = traces.get(ch)
-        if tr is None:
-            continue
-        series = router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
+        series = [b / tput_bin_us for b in sums[st.channel].bits[st.station_id]]
         throughput[st.station_id] = series
-        tput_mean[st.station_id] = sum_in_order(series) / len(series) if series else 0.0
+        tput_mean[st.station_id] = sum_in_order(series) / len(series)
         if st.traffic == "burst":
             bursts[st.station_id] = router.burst_completion_times_ms(
-                tr, st.station_id, st.burst_period_ms() * 1000.0, st.burst_frames(),
-                st.start_ms * 1000.0,
+                traces[st.channel], st.station_id, st.burst_period_ms() * 1000.0,
+                st.burst_frames(), st.start_ms * 1000.0,
             )
 
     power_stats: dict[int, mac.FlowStats] = {}
@@ -677,23 +660,16 @@ def run(sc: Scenario) -> ReportSet:
     harv_events: dict[str, list[tuple[float, str, float]]] = {}
     harv_summary: dict[str, dict[str, float]] = {}
     eirp = fcc.plan_eirp(sc.router.tx_plan())
-    duties: dict[int, float] = {}  # each channel's duty, shared by its harvesters
+    duties = {ch: min(1.0, sums[ch].on_air_us / tr.duration_us) for ch, tr in traces.items()}
     for h in sc.harvesters:
         cfg = h.config()
         chan_power = []
         for ch in h.channels:
-            if ch not in duties:
-                tr = traces.get(ch)
-                duties[ch] = (
-                    harvest_duty(tr, router_ids, sc.mac_params.phy_overhead_us)
-                    if tr is not None
-                    else 0.0
-                )
             link = rf.LinkGeometry(
                 Distance(h.distance_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), h.wall
             )
             chan_power.append(
-                (rf.received_power(eirp, GainDbi(h.g_rx_dbi), link), duties[ch])
+                (rf.received_power(eirp, GainDbi(h.g_rx_dbi), link), duties.get(ch, 0.0))
             )
         if all(duty == 0.0 for _, duty in chan_power):
             state = hv.new_state(cfg)
@@ -716,7 +692,6 @@ def run(sc: Scenario) -> ReportSet:
 
     return ReportSet(
         scenario=sc,
-        bin_starts_ms=bin_starts,
         occupancy_bins=occ_bins,
         occupancy_mean=occ_mean,
         cumulative_mean=cumulative_mean,

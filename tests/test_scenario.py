@@ -477,8 +477,8 @@ def test_harvest_duty_computed_once_per_channel(monkeypatch):
     sc = scenario.parse_scenario(text)
     sc.mac_window_s = 0.2
     calls = []
-    real = scenario.harvest_duty
-    monkeypatch.setattr(scenario, "harvest_duty",
+    real = mac.channel_sums
+    monkeypatch.setattr(mac, "channel_sums",
                         lambda tr, *a: calls.append(tr.channel) or real(tr, *a))
     rep = scenario.run(sc)
     assert len(sc.harvesters) == 2
@@ -487,6 +487,23 @@ def test_harvest_duty_computed_once_per_channel(monkeypatch):
     one.mac_window_s = 0.2
     first = sc.harvesters[0].harvester_id
     assert rep.harvester_summary[first] == scenario.run(one).harvester_summary[first]
+
+
+def test_run_makes_one_report_pass_per_channel(monkeypatch):
+    # every occupancy, throughput and duty of a run comes from one
+    # `mac.channel_sums` pass per channel, not from the per-series views
+    sc = scenario.load_scenario(scenario.bundled_config("home_3.cfg"))
+    sc.mac_window_s = 0.2
+    calls = []
+    real = mac.channel_sums
+    monkeypatch.setattr(mac, "channel_sums",
+                        lambda tr, *a: calls.append(tr.channel) or real(tr, *a))
+    for mod, name in ((scenario, "occupancy_bins"), (scenario, "harvest_duty"),
+                      (router, "throughput_series")):
+        monkeypatch.setattr(mod, name, None)
+    rep = scenario.run(sc)
+    assert len(rep.throughput) > 1 and rep.harvester_summary
+    assert sorted(calls) == sorted(rep.traces) == [1, 6, 11]
 
 
 def test_write_outputs_streams_the_trace_text(tmp_path):
