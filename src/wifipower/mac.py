@@ -236,24 +236,33 @@ def window_length(window: tuple[float, float]) -> float:
 
 
 def bin_count(window_us: float, bin_us: float) -> int:
-    """Number of report bins of `bin_us` over a window: the whole bins
-    that fit in it, at least one."""
-    return max(1, int(window_us // bin_us))
+    """Number of report bins of `bin_us` that cover a window: the fewest
+    n with n * bin_us >= window_us, so every bin starts inside it."""
+    n = max(1, math.ceil(window_us / bin_us) - 1)
+    while n * bin_us < window_us:
+        n += 1
+    return n
 
 
-def bin_at(t: float, bin_us: float, n: int, end: float) -> tuple[int, float, float]:
-    """Bin i of `n` bins of `bin_us`, cut at `end`, that holds `t`, and its
-    edges lo <= t < hi: the edge test of `occupancy`, which corrects the
-    floor division where it lands one bin off an edge. A t in no bin
-    (before 0, at or past `end`, NaN) gets i = n and empty edges."""
-    if not 0.0 <= t < end:
+def bin_means(sums: Sequence[float], bin_us: float, window_us: float) -> list[float]:
+    """Each bin's sum over the bin's length inside the window."""
+    return [v / (min((i + 1) * bin_us, window_us) - i * bin_us) for i, v in enumerate(sums)]
+
+
+def bin_at(t: float, bin_us: float, n: int, window_us: float) -> tuple[int, float, float]:
+    """Bin i of the `n` bins of `bin_us` over a window that holds `t`, and
+    its edges lo <= t < hi: bin i is i*bin_us <= t < (i+1)*bin_us cut at
+    the window end, the edge test of `occupancy`, which corrects the floor
+    division where it lands one bin off an edge. A t outside the window
+    (or NaN) is in no bin and gets i = n and empty edges."""
+    if not 0.0 <= t < window_us:
         return n, 0.0, 0.0
     i = min(int(t // bin_us), n - 1)
     while i * bin_us > t:
         i -= 1
     while (i + 1) * bin_us <= t:
         i += 1
-    return i, i * bin_us, min((i + 1) * bin_us, end)
+    return i, i * bin_us, min((i + 1) * bin_us, window_us)
 
 
 def on_air_us(row: FrameRow, phy_overhead_us: float) -> float:
@@ -311,12 +320,12 @@ def channel_sums(
             if 0.0 <= t < duration:
                 payload += v
             if not olo <= t < ohi:
-                oi, olo, ohi = bin_at(t, occupancy_bin_us, n_occ, n_occ * occupancy_bin_us)
+                oi, olo, ohi = bin_at(t, occupancy_bin_us, n_occ, duration)
             occ[oi] += v
         if delivered[c] is not None:
             series, b = delivered[c]
             if not tlo <= t < thi:
-                ti, tlo, thi = bin_at(t, throughput_bin_us, n_tput, n_tput * throughput_bin_us)
+                ti, tlo, thi = bin_at(t, throughput_bin_us, n_tput, duration)
             series[ti] += b
     return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()}, on)
 

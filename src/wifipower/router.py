@@ -92,7 +92,7 @@ def throughput_series(
     sums = mac.channel_sums(trace, (), bin_us, bin_us)
     # a flow with no frame reads zero on the same grid as the occupancy bins
     bits = sums.bits.get(flow, [0.0] * len(sums.occupancy_us))
-    return [b / bin_us for b in bits]  # bits per us == Mbps
+    return mac.bin_means(bits, bin_us, trace.duration_us)  # bits per us == Mbps
 
 
 def burst_completion_times_ms(

@@ -583,15 +583,8 @@ def occupancy_bins(
     if stations is None:
         stations = [row.station_id for row in trace.rows]
     sums = mac.channel_sums(trace, stations, bin_us, bin_us)
-    n = len(sums.occupancy_us)
-    return [i * bin_ms for i in range(n)], _occupancy(sums, bin_us), sums.payload_us
-
-
-def _occupancy(sums: mac.ChannelSums, bin_us: float) -> list[float]:
-    return [
-        v / mac.window_length((i * bin_us, (i + 1) * bin_us))
-        for i, v in enumerate(sums.occupancy_us)
-    ]
+    vals = mac.bin_means(sums.occupancy_us, bin_us, trace.duration_us)
+    return [i * bin_ms for i in range(len(vals))], vals, sums.payload_us
 
 
 def harvest_duty(
@@ -632,7 +625,7 @@ def run(sc: Scenario) -> ReportSet:
     occ_mean: dict[int, float] = {}
     for ch in sc.router.channels:
         if ch in sums:
-            occ_bins[ch] = _occupancy(sums[ch], occ_bin_us)
+            occ_bins[ch] = mac.bin_means(sums[ch].occupancy_us, occ_bin_us, window_us)
             occ_mean[ch] = sums[ch].payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())
 
@@ -642,9 +635,9 @@ def run(sc: Scenario) -> ReportSet:
     for st in sc.stations:
         if st.traffic == "none" or st.channel not in sums:
             continue
-        series = [b / tput_bin_us for b in sums[st.channel].bits[st.station_id]]
-        throughput[st.station_id] = series
-        tput_mean[st.station_id] = sum_in_order(series) / len(series)
+        bits = sums[st.channel].bits[st.station_id]
+        throughput[st.station_id] = mac.bin_means(bits, tput_bin_us, window_us)
+        tput_mean[st.station_id] = sum_in_order(bits) / window_us  # bits per us == Mbps
         if st.traffic == "burst":
             bursts[st.station_id] = router.burst_completion_times_ms(
                 traces[st.channel], st.station_id, st.burst_period_ms() * 1000.0,

@@ -307,3 +307,24 @@ def test_start_ms_without_a_meaning_exits_2(tmp_path, capsys, traffic, start, me
     cfg = write_cfg(tmp_path, START_CFG.format(traffic=traffic, start=start))
     assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
     assert f"config error: line 8: station 'c1': {message}\n" in capsys.readouterr().err
+
+
+def test_window_shorter_than_a_bin_reads_its_own_length(tmp_path):
+    # a 50 ms window with 500 ms bins is one bin, 50 ms long: its bin
+    # reads the window's occupancy and the 24 Mbps client's throughput
+    out = tmp_path / "out"
+    cfg = scenario.bundled_config("powifi_default.cfg")
+    assert cli.main(["run", cfg, "--duration", "0.05", "--out-dir", str(out)]) == 0
+    summary = dict(line.split("=", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    rows = (out / "occupancy.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1
+    t_ms, ch1, ch6, ch11, cumulative = rows[0].split(",")
+    assert (t_ms, ch1, ch6, ch11, cumulative) == (
+        "0.0", summary["occupancy_ch1"], summary["occupancy_ch6"],
+        summary["occupancy_ch11"], summary["occupancy_cumulative"],
+    )
+    flows = [line.split(",") for line in (out / "throughput.csv").read_text().splitlines()[1:]]
+    assert [(t, flow) for t, flow, _ in flows] == [("0.0", "client1")]
+    assert float(flows[0][2]) == pytest.approx(22.8, abs=0.5)
+    assert float(summary["throughput_mbps.client1"]) == float(flows[0][2])

@@ -28,98 +28,98 @@ REPORTS = ("occupancy.csv", "throughput.csv", "harvester.csv", "summary.txt", "t
 
 GOLDEN = {
     "baseline_boot.cfg": {
-        "occupancy.csv": "4cb2a26a338ba81956e41c8c88962736d8cac954b8cb9974afd7041d18111e37",
-        "throughput.csv": "34c59d4331d498cb35e06a2833284db9d0a006ddf49e5496379e8c40d65597d3",
+        "occupancy.csv": "621b58e46aa3837ecb70de543e34b3dd3ac22ed3bafc0232d3490ac3ae831258",
+        "throughput.csv": "8ec3ca3de435af3d66b32a2ff9028a2cf343a06fd6efe3d114927b16adfb1411",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "c6d65fb6deaecced4d1a925c902809ce911ad870570ae7d6c270d1a014ab5163",
+        "summary.txt": "a709999fc44a535c01963e2db3c3397244aa08d97a3a4fe0c873ca2b8398a7fb",
         "trace.txt": "27b82d9fa0608603291386028af7eee555435756060dfc9d097659bc44b5fc2e",
     },
     "burst_workload.cfg": {
-        "occupancy.csv": "154c37e8fef72968398712ecf1c68ba9551786dcea3d71e8e4f78bb26806138d",
-        "throughput.csv": "f50533eef36d6b969995b1c637404e837afd55290f8ba5e4757eb5e39bc12a5b",
+        "occupancy.csv": "0a5e029f4912f77ac8e09ac476e5e6d1ec0786f728b6177cac321825225fd0d3",
+        "throughput.csv": "8aa280983cdeaa420d9c612b69dabe45ed22c3e5cc330066647a665a48fa5809",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "ef0449b5183e8f540ab283240195f120f8dab3abd7f8863a75c90649f1d220ab",
+        "summary.txt": "3fcce0e68a7ee1bfdbb643bc4d337d54917d74af4e205872e45eefb539b120ff",
         "trace.txt": "abd0371ee4413245d1716711b3ca3a8321c89a2869edaff262e6ad52adfc7036",
     },
     "camera_throughwall.cfg": {
-        "occupancy.csv": "df2df6bde5468692d64b1d68b4e7ac8630348521f31ae60183982385e1c5e65e",
+        "occupancy.csv": "d505c36a8a4727e15e4ed87f22174708ab097ef68501b79c7f6b4db8a7ad29e4",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
         "harvester.csv": "5eb7ba2b2556975aef9015e321654a662a41abdc6e323c38ad188d81d5add272",
         "summary.txt": "1a444d6e6947a9245cb28313b521d031de42af6773b1f221ed339779f77eebd9",
         "trace.txt": "459cb97b70209bb065e7536470f2fa72c01ab15f3e6e8fcd92403699fbf440b8",
     },
     "delay_sweep.cfg": {
-        "occupancy.csv": "87289f03ef68eec4e45ad826b26ee47f2a6d8be16f055e90bdc00ed3e1d48755",
+        "occupancy.csv": "ca13a0f655d2618947e9ea2299e572b5dabcdaf435d8bd59ce18417ec90bf4db",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
         "summary.txt": "8ecfd46fd8a8352b9ba486dd7d0e49b27bb32d697ff198a11c73a6a515816a86",
         "trace.txt": "32e88b454b66f39b7644e62efca2f6fa8d2cb350a63851ff25e8fa14a17cfbb6",
     },
     "home_1.cfg": {
-        "occupancy.csv": "d3ae45f5a4e85aefa6df635b797e6b41c1359a0199efa4d27dc91815d2ab4f13",
-        "throughput.csv": "a27eff82a02d7d7152247099bb129b03faf8263673d1c1c4d6db24770a197200",
+        "occupancy.csv": "d4e0e8ee7db5d46679b680be9379026708b09ff48756a0b6ea58a4cbbf2dec83",
+        "throughput.csv": "2ef5f0ed434aa33aa466f376914155dbaf72b250b6ca6820f6f8ee82f6f5c0df",
         "harvester.csv": "a84572a01974a7bf59637d5dc1f269009c1bc28632430987a15a4fdb55c583fa",
-        "summary.txt": "d502d7be65a5dad4f5d56409eb0d96424d5a7d57e09c7dad7c69f647ce6c8a7d",
+        "summary.txt": "ede0421edd8ebbb71895988c68497b900c8c3b7cf577eabc6eea53fee85270fb",
         "trace.txt": "63bcaf0188ec622053c148cfd18793240fcaf0398c9605489b56606920c38c6f",
     },
     "home_2.cfg": {
-        "occupancy.csv": "19d908c87276217ecb0f23249e2e0b71eed5b938c118180f40d03e74541be8a9",
-        "throughput.csv": "5064c1a30a5cf8add6f4b408cc0620ba7a384fc2e5fa9c438ea5e6e7cb6b81a7",
+        "occupancy.csv": "2696007059b344e928cd31958ff799ad50f0e408808819404560aa97d0abbbe7",
+        "throughput.csv": "a53c9fe4c4e2624dc92b6bebfaec5a1248e61b5d638d66b257abd91e9bc61bb1",
         "harvester.csv": "36ca60c00707eb7eec4a8d9afbc5a1091ad2552cc415300a528a81b7063b42f4",
-        "summary.txt": "625df4adf264cf973715598d11594457293952dccb610ff4903eb8fa19c8ed07",
+        "summary.txt": "1abfb0f640b41d3d5c74ed975e0f8a7ee89eece6247865e7894064908d636e00",
         "trace.txt": "9c612c69d4bc48e4e9f697f128bea1b101c691ce78bc07ac185a3fb378663828",
     },
     "home_3.cfg": {
-        "occupancy.csv": "7ab176baa4fb645296c1b64d1fe0f50e59f587bf34476ebbb2838f8008f6b62b",
-        "throughput.csv": "c38128899519ae3bb5d0c89502ab76351123c711518f12152bc9050002c06b33",
+        "occupancy.csv": "fa559c9024a6b14305c8694926c3e100988fc70ac63b9eb91fd929b8d6fd23c8",
+        "throughput.csv": "465493c07f5fd1caacced91f9581dd92e895ca47aba5a6f505b06d41af794d0f",
         "harvester.csv": "bc2393b4918d6346090903ebd0a50245745caf08d5a2f8bb4cff8190e600ddb8",
-        "summary.txt": "03fe0b6983bfdd431a44ac5fd1fd43255d9133de4409f0efacd238dddd4df78a",
+        "summary.txt": "5f71a333e7baf60924a8d0b126d9b82d4667093f3e23539554f0a215d72cddd1",
         "trace.txt": "59b035bbf28aca21d506015470cc5745e7b0962ca2a4a122bcb539c77719acd1",
     },
     "home_4.cfg": {
-        "occupancy.csv": "65673859191568b03f24a8bfe00b1fbdf8107091935730f5180dd66e00ac5ee2",
-        "throughput.csv": "d35f3d1667cc7eefae7ab33301f6a2c0e375ee12313c41eae826a959dc086df4",
+        "occupancy.csv": "68e0f5bc745eb709f25f84820f25463237ad1d95903527b31ac15a305ce5b275",
+        "throughput.csv": "dda7a77aacacb67f05376c17c64c2c8885621bcc5651e12db805b67ddf70f775",
         "harvester.csv": "d852bc6cb13968e70f070d3edd3b616850ef49551baab9215eb40fc5d5267a1e",
-        "summary.txt": "50a6b2963c772892a15cbe0601bd1f22665b6d49e649d2ed642e1df09d2dce73",
+        "summary.txt": "990db311c0695f40a366916b9434530ddbe11fdfeee5d6173fb67848f5faadca",
         "trace.txt": "8649a0ff0017cc4fc42c6f4f0d09e47ff2ec49b024a64be2d3e5696aa8e064b6",
     },
     "home_5.cfg": {
-        "occupancy.csv": "eeb88bcdab4a4d2e687320d0e87e0b79dc8cbb12d847be43a1378ee624bdf27a",
-        "throughput.csv": "24b9849b3cb0e44e20597e369ddf3414dd0a0b9506bb7f6e2dab41e3b0f40ce5",
+        "occupancy.csv": "402824fedd8fff4956a0b92ab8886cc7b13e3bb34830e05664be033ad4375de9",
+        "throughput.csv": "78b95994a3dc76d0be6caeb72c2b069b40665ee8b7a4cdfff3beccc218358fd7",
         "harvester.csv": "2a60cac0108e391ebf376d0e9a769960421262683b6a4da93852667afd2fec01",
-        "summary.txt": "8d9d9b2ae6b07dcd789eec9a75440ab3e3876730c1f6569d14bd65c6ce7ba9e2",
+        "summary.txt": "fa4877b5c4bc81c4a981a02116d517366ec49483cb7cc04f29db450d939a49eb",
         "trace.txt": "ab9ddd7b5de89ab4787e5db7f1112a57cd156f6b6f0e3cce1d40d13bafe4305b",
     },
     "home_6.cfg": {
-        "occupancy.csv": "737f485af9f52030e99b09a34bc18bdab3c6c159823b4acd4fc13e10ded97693",
-        "throughput.csv": "d5c9764361e4c0a9d77cb750160a1047344b944df8ce16772a0d186615c85977",
+        "occupancy.csv": "d4e379e1844fde6dcc659be6bf5fb59cae8323389b2619d311b95ba90931ac60",
+        "throughput.csv": "b92ec69a8edb7f3839ffa95419ecbe527090f6b3ba0fe26f65f3cfccfa3ee83f",
         "harvester.csv": "e35b535b68130f39dae90b62982dfa145c21655f42d91fec595220de8e40af17",
-        "summary.txt": "3bff583dcb683f913a8f0627e0a954bfaf8e999d050e2ea8673e1f627df2f8a3",
+        "summary.txt": "781123bd4bd46fd7dc614a202ab12b7b2189debb4da0f81d8c75ef1b946f728a",
         "trace.txt": "10b83c18580d4988e50474892ecdd0397e72cfd1dc902cb11c7f3922b62861fa",
     },
     "neighbor_fairness.cfg": {
-        "occupancy.csv": "4156f40dab3b46cdc5000c8061c21c94b2e2e80984490ab961b9ed36c93ba7fb",
-        "throughput.csv": "7d98c7171dad2e6623f101948c9283e4d5fa4a148b0776db931c10dce4f80911",
+        "occupancy.csv": "257c418360776c6399c54ef5316c6fb2e03113d639824afadfcc8157be6f7022",
+        "throughput.csv": "f98ed718a7274d2049e73df50bfac4aeabef403a2f69f5db6054f482479a3afe",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "46537dfaea0cbfd2d0f5bae09632318c86571337a9f89e6904d60a07f91f449a",
+        "summary.txt": "45312bc4ec4b9613eeefa2bcc797535cd996c296935b81f5528e6f1a5051b7e4",
         "trace.txt": "79512e0e0c1e728f54a6fcfcc48b7b82a59e409963e1a9b35b4c23b0764d8a37",
     },
     "powifi_default.cfg": {
-        "occupancy.csv": "c4de479bc1272404528def65396e308666278a9d0a918b57de7c6d629f882a12",
-        "throughput.csv": "e4f0f06c1f155fe0bda247e80a69a9da6e9a01edbdb45cffedc515cab9bc093b",
+        "occupancy.csv": "f2395f1765370d74965d3b379dd890e457463ee023868f943ed77736390a87b1",
+        "throughput.csv": "13a612eb57aff6d4b6e30858fbdaa169ecb91387667787b6820044a1e68e3cba",
         "harvester.csv": "c61a349dd3c05914146799e1a6c6b30ed889d23af8880950a5123c296f201026",
-        "summary.txt": "39a927a3f443ee437721868ade40600b3110412967f681801a46783b4b134d76",
+        "summary.txt": "f9a801582d807e63a78408404759f6b246675a1fdd3fb80081c961a7033992ad",
         "trace.txt": "9d2c69c4c1bddfd14fca2c7f8c043e81895b430339621517f6f03b776d87faba",
     },
     "scheme_comparison.cfg": {
-        "occupancy.csv": "37d6f402529ad3d9721cbe4dc1c4a7574ea96fed66562d5a81d549fb1412184d",
-        "throughput.csv": "e51584b2d46973ab89c0bee99940925f6d1911b99c6406a275c2a646231dd744",
+        "occupancy.csv": "51214ddedba156a7413177d1d1fbb35a3bfe14699ab17a905d3b1d7a0c1349d8",
+        "throughput.csv": "4ad3db181f1470ef89eb074dd8d7c94352ad27eed4b5922f74a9571109f2f8ae",
         "harvester.csv": "34498cd9af4c6383d45024677f90556bb44bd364304959daac4438a8acdaf31a",
-        "summary.txt": "f679f2a36bdf2a74d877957a02837d689c6d736aa4ceb68e39e39270768604b9",
+        "summary.txt": "59609684bab28b78909624b0552169a420f71289611a57deaf830005d338fa62",
         "trace.txt": "b34a5f8372ac327b8c0c46f21777e95c3660e3aab4ecb856b2eb52b6fd86121a",
     },
     "temp_sensor_range.cfg": {
-        "occupancy.csv": "68d5eeaff25d313df543e456c08de05dbee69af898c92c33e1b47ee9c38b9749",
+        "occupancy.csv": "43a1e337502da1d0a71ec7c952dd5ba9f906d2816eea6072a4a8c13912497e0c",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
         "harvester.csv": "c8acb9470b59983c548ff71a60493bcda33453781c0a197c497d9ef66d7db8b2",
         "summary.txt": "711cf6a7b38e2bff96dfb480c9364af50fdd8c5673fdc7cafd67ac8522dea193",

@@ -64,6 +64,14 @@ def test_throughput_series_single_frame():
     assert series[0] == pytest.approx(0.024)
 
 
+def test_throughput_series_tail_bin_reads_its_length_in_the_window():
+    # 750 ms in 500 ms bins: a second bin of 250 ms holds the tail
+    rec = mac.FrameRecord(600_000.0, 1, "r", "client_data", 1500, 54.0,
+                          "delivered", 12000.0 / 54.0, 300.0, "iperf")
+    tr = mac.ChannelTrace(1, 750_000.0, [rec])
+    assert router.throughput_series(tr, "iperf", bin_ms=500.0) == [0.0, 12000.0 / 250_000.0]
+
+
 def test_throughput_series_empty():
     tr = mac.ChannelTrace(1, 1_000_000.0, [])
     assert router.throughput_series(tr, "iperf") == [0.0, 0.0]

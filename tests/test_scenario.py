@@ -313,10 +313,13 @@ def test_analyze_trace_station_filter_per_tail(tmp_path):
 
 
 def _binned_reference(trace, bin_ms):
-    bin_us = bin_ms * 1000.0
-    n = max(1, int(trace.duration_us // bin_us))
+    # bins until the window is covered, the last one cut at the window end
+    bin_us, end = bin_ms * 1000.0, trace.duration_us
+    n = 1
+    while n * bin_us < end:
+        n += 1
     return ([i * bin_ms for i in range(n)],
-            [mac.occupancy(trace, (i * bin_us, (i + 1) * bin_us)) for i in range(n)])
+            [mac.occupancy(trace, (i * bin_us, min((i + 1) * bin_us, end))) for i in range(n)])
 
 
 def _edge_records(bin_us, n_edges):
@@ -368,12 +371,12 @@ def test_throughput_and_occupancy_bins_place_a_frame_alike():
 
 
 def test_occupancy_bins_window_shorter_than_a_bin():
-    # one bin, reaching past the window end
+    # one bin, cut at the window end: the frames past it are in no bin
     records = [mac.FrameRecord(t, 1, "r", "beacon", 300, 1.0, "delivered", 2400.0, 0.0)
                for t in (0.0, 900.0, 1500.0, 2000.0)]
     trace = mac.ChannelTrace(channel=1, duration_us=1000.0, records=records)
     assert scenario.occupancy_bins(trace, 2.0)[:2] == _binned_reference(trace, 2.0)
-    assert scenario.occupancy_bins(trace, 2.0)[1] == [3 * 2400.0 / 2000.0]
+    assert scenario.occupancy_bins(trace, 2.0)[1] == [2 * 2400.0 / 1000.0]
 
 
 def test_occupancy_bins_of_bundled_runs_equal_per_bin_occupancy():
