@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, TraceFormatError
-from .units import sum_in_order
 
 #: PHY bit rates accepted for frames, in Mbps. The 802.11b/g basic and
 #: OFDM set, plus 16 Mbps which appears as a comparison point in the
@@ -249,15 +248,15 @@ def bin_means(sums: Sequence[float], bin_us: float, window_us: float) -> list[fl
     return [v / (min((i + 1) * bin_us, window_us) - i * bin_us) for i, v in enumerate(sums)]
 
 
-def bin_at(t: float, bin_us: float, n: int, window_us: float) -> tuple[int, float, float]:
-    """Bin i of the `n` bins of `bin_us` over a window that holds `t`, and
-    its edges lo <= t < hi: bin i is i*bin_us <= t < (i+1)*bin_us cut at
-    the window end, the edge test of `occupancy`, which corrects the floor
+def bin_at(t: float, bin_us: float, window_us: float) -> tuple[int, float, float]:
+    """Bin i of the bins of `bin_us` over a window that holds `t`, and its
+    edges lo <= t < hi: bin i is i*bin_us <= t < (i+1)*bin_us cut at the
+    window end, the edge test of `occupancy`, which corrects the floor
     division where it lands one bin off an edge. A t outside the window
-    (or NaN) is in no bin and gets i = n and empty edges."""
+    (or NaN) is in no bin and gets i = -1 and empty edges."""
     if not 0.0 <= t < window_us:
-        return n, 0.0, 0.0
-    i = min(int(t // bin_us), n - 1)
+        return -1, 0.0, 0.0
+    i = int(t // bin_us)
     while i * bin_us > t:
         i -= 1
     while (i + 1) * bin_us <= t:
@@ -281,11 +280,8 @@ class ChannelSums(NamedTuple):
 
 
 def channel_sums(
-    trace: ChannelTrace,
-    stations: Iterable[str],
-    occupancy_bin_us: float,
-    throughput_bin_us: float,
-    phy_overhead_us: float = 24.0,
+    trace: ChannelTrace, stations: Iterable[str], occupancy_bin_us: float,
+    throughput_bin_us: float, phy_overhead_us: float = 24.0,
 ) -> ChannelSums:
     """Every report sum of one channel, in one pass over its frames.
 
@@ -300,41 +296,32 @@ def channel_sums(
     keep = set(stations)
     n_occ = bin_count(duration, occupancy_bin_us)
     n_tput = bin_count(duration, throughput_bin_us)
-    occ = [0.0] * (n_occ + 1)  # the last slot takes the frames in no bin
+    occ = [0.0] * (n_occ + 1)  # slot -1 takes the frames in no bin
     bits = {row.flow: [0.0] * (n_tput + 1) for row in trace.rows}
-    ours = [
-        (row.payload_airtime_us, on_air_us(row, phy_overhead_us))
-        if row.station_id in keep else None
-        for row in trace.rows
-    ]
-    delivered = [
-        (bits[row.flow], row.size_bytes * 8.0) if row.outcome == "delivered" else None
+    # per code: router payload (None for other stations), on-air time,
+    # and the bins of a delivered frame's flow (None if not delivered)
+    per_code = [
+        (row.payload_airtime_us if row.station_id in keep else None,
+         on_air_us(row, phy_overhead_us), row.size_bytes * 8.0,
+         bits[row.flow] if row.outcome == "delivered" else None)
         for row in trace.rows
     ]
     payload = on = 0.0
     oi, olo, ohi = ti, tlo, thi = 0, 0.0, 0.0
     for t, c in zip(trace.starts, trace.codes):
-        if ours[c] is not None:
-            v, air = ours[c]
+        v, air, b, series = per_code[c]
+        if v is not None:
             on += air
             if 0.0 <= t < duration:
                 payload += v
             if not olo <= t < ohi:
-                oi, olo, ohi = bin_at(t, occupancy_bin_us, n_occ, duration)
+                oi, olo, ohi = bin_at(t, occupancy_bin_us, duration)
             occ[oi] += v
-        if delivered[c] is not None:
-            series, b = delivered[c]
+        if series is not None:
             if not tlo <= t < thi:
-                ti, tlo, thi = bin_at(t, throughput_bin_us, n_tput, duration)
+                ti, tlo, thi = bin_at(t, throughput_bin_us, duration)
             series[ti] += b
     return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()}, on)
-
-
-def cumulative_occupancy(
-    traces: Iterable[ChannelTrace], window: tuple[float, float]
-) -> float:
-    """Sum of per-channel occupancies; can exceed 1.0 across channels."""
-    return sum_in_order(occupancy(tr, window) for tr in traces)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,10 @@ def burst_completion_times_ms(
     """
     if period_us <= 0 or frames_per_burst < 1:
         raise ConfigError("burst period and size must be positive")
-    busy = _per_code(trace, flow, lambda row: row.busy_time_us)
+    busy = [
+        row.busy_time_us if row.flow == flow and row.outcome == "delivered" else None
+        for row in trace.rows
+    ]
     done: dict[int, tuple[int, float]] = {}
     for t, c in zip(trace.starts, trace.codes):
         if busy[c] is None:
@@ -126,12 +129,3 @@ def burst_completion_times_ms(
         if n == frames_per_burst:
             out.append((end - (start_us + k * period_us)) / 1000.0)
     return out
-
-
-def _per_code(trace: mac.ChannelTrace, flow: str, value) -> list:
-    """`value(row)` for each trace code of a delivered frame of `flow`,
-    None for every other code."""
-    return [
-        value(row) if row.flow == flow and row.outcome == "delivered" else None
-        for row in trace.rows
-    ]

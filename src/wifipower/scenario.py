@@ -139,6 +139,8 @@ class HarvesterConf:
             raise ConfigError(
                 f"harvester {self.harvester_id!r}: distance must be > 0"
             )
+        if not self.channels:
+            raise ConfigError(f"harvester {self.harvester_id!r}: needs at least one channel")
         for ch in self.channels:
             if ch not in mac.VALID_CHANNELS:
                 raise ConfigError(
@@ -298,6 +300,8 @@ def _build_section(name: str, sid: Optional[str], keys: dict):
     """The conf object of one section, validated as far as it alone can be."""
     if name == "router":
         rate = keys.pop("equal_share_rate_mbps", None)
+        if rate is not None and keys.get("scheme") != "EqualShare":
+            raise ConfigError("equal_share_rate_mbps applies to scheme EqualShare only")
         if "scheme" in keys:
             keys["scheme"] = router.Scheme(keys["scheme"], equal_share_rate_mbps=rate)
         return RouterConf(**keys)
@@ -357,13 +361,16 @@ def parse_scenario(text: str) -> Scenario:
         key, _, raw_val = line.partition("=")
         key = key.strip()
         readers = _SECTION_KEYS[section]
+        where = f" in [{section}]" if section else ""
         if key not in readers:
-            where = f" in [{section}]" if section else ""
             raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")
         try:
-            keys[key] = readers[key](raw_val.strip())
+            value = readers[key](raw_val.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
+        if key in keys:
+            raise ConfigError(f"line {lineno}: key {key!r} set twice{where}")
+        keys[key] = value
 
     for key in ("duration_s", "seed"):
         if key not in top:
@@ -424,16 +431,14 @@ class ReportSet:
     traces: dict[int, mac.ChannelTrace]
     router_station_ids: tuple[str, ...]
 
-    def cumulative_bins(self) -> list[float]:
-        return [sum_in_order(col) for col in zip(*self.occupancy_bins.values())]
-
     # -- outputs ------------------------------------------------------------
 
     def occupancy_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t_ms,ch1,ch6,ch11,cumulative\n")
         bin_ms = self.scenario.occupancy_bin_ms
-        for i, cum in enumerate(self.cumulative_bins()):
+        cumulative = (sum_in_order(col) for col in zip(*self.occupancy_bins.values()))
+        for i, cum in enumerate(cumulative):
             cells = [f"{i * bin_ms:.1f}"]
             for ch in (1, 6, 11):
                 v = self.occupancy_bins.get(ch)
@@ -492,9 +497,6 @@ class ReportSet:
         """The trace export one channel at a time, in channel order."""
         for ch in sorted(self.traces):
             yield mac.export_trace([self.traces[ch]])
-
-    def trace_text(self) -> str:
-        return "".join(self.trace_chunks())
 
     def write_outputs(self, out_dir: str) -> None:
         """Write the five reports; trace.txt is written chunk by chunk,
@@ -600,10 +602,7 @@ def harvest_duty(
         mac.on_air_us(row, phy_overhead_us) if row.station_id in keep else 0.0
         for row in trace.rows
     ]
-    on = 0.0
-    for c in trace.codes:
-        on += on_air[c]
-    return min(1.0, on / trace.duration_us)
+    return min(1.0, sum_in_order(map(on_air.__getitem__, trace.codes)) / trace.duration_us)
 
 
 def run(sc: Scenario) -> ReportSet:
@@ -614,12 +613,9 @@ def run(sc: Scenario) -> ReportSet:
     traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
     occ_bin_us = sc.occupancy_bin_ms * 1000.0
     tput_bin_us = sc.throughput_bin_ms * 1000.0
-    sums = {
-        ch: mac.channel_sums(
-            tr, router_ids, occ_bin_us, tput_bin_us, sc.mac_params.phy_overhead_us
-        )
-        for ch, tr in traces.items()
-    }
+    phy_us = sc.mac_params.phy_overhead_us
+    sums = {ch: mac.channel_sums(tr, router_ids, occ_bin_us, tput_bin_us, phy_us)
+            for ch, tr in traces.items()}
 
     occ_bins: dict[int, list[float]] = {}
     occ_mean: dict[int, float] = {}

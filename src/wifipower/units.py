@@ -163,14 +163,12 @@ def sum_linear(ps: list[PowerDbm]) -> PowerDbm:
     """Sum powers the only valid way: convert to mW, add, convert back.
 
     Conducted output power of a multi-antenna transmitter is summed
-    across antennas in linear units, never by adding dB figures.
+    across antennas in linear units, never by adding dB figures; the sum
+    is `mw_sum_dbm`'s, so powers that are all -inf dBm sum to -inf.
     """
     if not ps:
         raise ValueError("sum_linear needs at least one power")
-    total = 0.0
-    for p in ps:
-        total += dbm_to_mw(p).value
-    return mw_to_dbm(PowerMw(total))
+    return mw_sum_dbm(dbm_to_mw(p).value for p in ps)
 
 
 def mw_sum_dbm(values_mw: Iterable[float]) -> PowerDbm:

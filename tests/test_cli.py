@@ -205,7 +205,6 @@ mac_window_s = 0.05
 [router]
 scheme = {scheme}
 channels = 6
-equal_share_rate_mbps = 24
 {line}
 """
 
@@ -221,6 +220,8 @@ equal_share_rate_mbps = 24
 def test_power_settings_are_checked_under_every_scheme(tmp_path, capsys, scheme, line, code):
     # Baseline sends no power packets and the ungated schemes use no
     # threshold, yet a bad power setting is a config error under each
+    if scheme == "EqualShare":  # no neighbor here to take the rate from
+        line += "\nequal_share_rate_mbps = 24"
     cfg = write_cfg(tmp_path, SCHEME_CFG.format(scheme=scheme, line=line))
     rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
     assert rc == code
@@ -328,3 +329,19 @@ def test_window_shorter_than_a_bin_reads_its_own_length(tmp_path):
     assert [(t, flow) for t, flow, _ in flows] == [("0.0", "client1")]
     assert float(flows[0][2]) == pytest.approx(22.8, abs=0.5)
     assert float(summary["throughput_mbps.client1"]) == float(flows[0][2])
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("duration_s = 3\nseed = 1\nseed = 2\n", 3, "key 'seed' set twice"),
+    (BASIC + "channels = 1\n", 8, "key 'channels' set twice in [router]"),
+    (BASIC + "equal_share_rate_mbps = 24\n", 5,
+     "equal_share_rate_mbps applies to scheme EqualShare only"),
+    ("duration_s = 3\nseed = 1\n[router]\nequal_share_rate_mbps = 24\n", 3,
+     "equal_share_rate_mbps applies to scheme EqualShare only"),
+    (BASIC + "[harvester h1]\nchannels =\n", 8, "harvester 'h1': needs at least one channel"),
+], ids=["top_key_twice", "router_key_twice", "rate_under_powifi", "rate_without_scheme",
+        "harvester_without_channels"])
+def test_config_findings_exit_2_with_their_line(tmp_path, capsys, text, line, message):
+    rc = cli.main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config error: line {line}: {message}" in capsys.readouterr().err

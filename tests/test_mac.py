@@ -87,14 +87,6 @@ def test_occupancy_matches_brute_force_oracle():
         assert abs(occ - brute_force_busy_fraction(tr)) < 1e-9
 
 
-def test_cumulative_occupancy_is_additive():
-    rng = random.Random(9)
-    traces = [make_random_trace(rng) for _ in range(3)]
-    w = (0.0, 50_000.0)
-    total = mac.cumulative_occupancy(traces, w)
-    assert total == pytest.approx(sum(mac.occupancy(t, w) for t in traces), rel=1e-12)
-
-
 def test_airtime_fairness_ratio():
     # equal frame counts: airtime scales inversely with bit rate
     fast = mac.payload_airtime_us(1500, 54.0)
@@ -424,5 +416,45 @@ def test_parse_trace_concatenated_channels_cumulative():
     ]
     traces = mac.parse_trace("\n".join(lines), duration_us=1_000_000.0)
     w = (0.0, 1_000_000.0)
-    total = mac.cumulative_occupancy(traces.values(), w)
-    assert total == pytest.approx(3 * mac.occupancy(traces[1], w), rel=1e-12)
+    assert sorted(traces) == [1, 6, 11]
+    assert [mac.occupancy(tr, w) for tr in traces.values()] == [1500 * 8.0 / 54.0 / 1e6] * 3
+
+
+def _bianchi_mbps(n: int, params: mac.MacParams, size_bytes: int, rate_mbps: float) -> float:
+    """Saturation throughput of n stations under Bianchi's DCF model with
+    a finite retry limit (G. Bianchi, IEEE JSAC 18(3), 2000): stage i
+    draws from W_i = min((cw_min + 1) 2^i, cw_max + 1) slots, a frame
+    gets retry_limit + 1 attempts, and the collision probability p and
+    attempt probability tau solve p = 1 - (1 - tau)^(n - 1)."""
+    windows = [min((params.cw_min + 1) * 2**i, params.cw_max + 1)
+               for i in range(params.retry_limit + 1)]
+    payload = size_bytes * 8.0 / rate_mbps
+    t_collided = params.phy_overhead_us + payload + params.difs_us
+    t_success = t_collided + params.sifs_us + params.ack_airtime_us
+    lo, hi = 0.0, 1.0
+    for _ in range(100):  # bisect p: the right side falls as p grows
+        p = (lo + hi) / 2
+        tau = (sum(p**i for i in range(len(windows)))
+               / sum(p**i * (w + 1) / 2 for i, w in enumerate(windows)))
+        lo, hi = (p, hi) if 1 - (1 - tau) ** (n - 1) > p else (lo, p)
+    p_busy = 1 - (1 - tau) ** n
+    p_success = n * tau * (1 - tau) ** (n - 1)
+    slot_us = ((1 - p_busy) * params.slot_us + p_success * t_success
+               + (p_busy - p_success) * t_collided)
+    return p_success * size_bytes * 8.0 / slot_us
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 50])
+def test_saturated_throughput_matches_bianchi(n):
+    # n backlogged stations, no access point: CW doubling, the retry
+    # limit and slot freezing against an outside model, within 3%
+    params = mac.MacParams()
+    window_us = 5e6
+    want = _bianchi_mbps(n, params, 1500, 54.0)
+    specs = [mac.StationSpec(f"s{k}", 1, (mac.FlowSpec(f"s{k}", "client_data"),))
+             for k in range(n)]
+    for seed in (1, 2, 3):
+        tr = mac.run_mac(specs, window_us, params, seed)[1]
+        bits = mac.channel_sums(tr, (), window_us, window_us).bits
+        got = sum(series[0] for series in bits.values()) / window_us
+        assert got == pytest.approx(want, rel=0.03)

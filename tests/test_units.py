@@ -54,6 +54,12 @@ def test_sum_linear_rejects_empty():
         sum_linear([])
 
 
+def test_sum_linear_of_silent_powers_is_minus_inf():
+    # -inf dBm is zero power, and a total of zero is -inf dBm again
+    assert sum_linear([PowerDbm(-math.inf)] * 3).value == -math.inf
+    assert sum_linear([PowerDbm(-math.inf), PowerDbm(10.0)]).value == pytest.approx(10.0)
+
+
 def test_sum_linear_permutation_invariant_and_monotone():
     rng = random.Random(42)
     for _ in range(50):
