@@ -11,6 +11,10 @@ pins the harvester reports of one more config, `BATTERY_CONFIG`, which
 lives here: both battery presets near and far, in the open and behind
 a wall, over an hour.
 
+`SWEEP_GOLDEN` pins the bytes of `sweep_csv` for three short sweeps:
+two that leave every MAC input unchanged (`distance`, `wall_material`)
+and one that changes it (`inter_packet_delay`), each over several seeds.
+
 Print the current tables with:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -157,6 +161,25 @@ BATTERY_GOLDEN = {
     "summary.txt": "83ba444c56e1235496ca2f2ad4fb275e1c6f3d8f90c483c0598974a7a64f951c",
 }
 
+#: name -> (bundled config, variable, values, seeds, duration_s); each
+#: runs with `mac_window_s = 0.05`
+SWEEP_CASES = {
+    "distance": ("temp_sensor_range.cfg", "distance", (4.0, 12.0, 24.0), (11, 12, 13), 60.0),
+    "wall_material": (
+        "camera_throughwall.cfg", "wall_material",
+        ("none", "wooden_door", "double_sheetrock"), (61, 62), 3600.0,
+    ),
+    "inter_packet_delay": (
+        "neighbor_fairness.cfg", "inter_packet_delay", (100.0, 1000.0, 5000.0), (41, 42), 10.0,
+    ),
+}
+
+SWEEP_GOLDEN = {
+    "distance": "023e0b1f18710ced4fc0236d16aead22fa455332fe3d45028b099b1ecaba935d",
+    "wall_material": "dbb34e19742f5d49fbb96ff9f7955221e2d200eacd6b97a819a8d5a23649213e",
+    "inter_packet_delay": "6ecf511dd657202ef66403c0f8b14b46230ccf473060c4ac182bacff02f94145",
+}
+
 
 def _digests(
     sc: scenario.Scenario, out_dir: str, reports: tuple[str, ...]
@@ -179,6 +202,15 @@ def battery_digests(out_dir: str) -> dict[str, str]:
     return _digests(scenario.parse_scenario(BATTERY_CONFIG), out_dir, BATTERY_REPORTS)
 
 
+def sweep_digest(case: str) -> str:
+    config, variable, values, seeds, duration_s = SWEEP_CASES[case]
+    sc = scenario.load_scenario(scenario.bundled_config(config))
+    sc.mac_window_s = 0.05
+    sc.duration_s = duration_s
+    rows = scenario.sweep(sc, scenario.SweepSpec(variable, values), seeds=seeds)
+    return hashlib.sha256(scenario.sweep_csv(rows).encode()).hexdigest()
+
+
 def test_every_bundled_config_is_pinned():
     configs_dir = os.path.dirname(scenario.bundled_config("powifi_default.cfg"))
     assert sorted(GOLDEN) == sorted(f for f in os.listdir(configs_dir) if f.endswith(".cfg"))
@@ -191,6 +223,11 @@ def test_report_digests_unchanged(config, tmp_path):
 
 def test_battery_report_digests_unchanged(tmp_path):
     assert battery_digests(str(tmp_path)) == BATTERY_GOLDEN
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_csv_unchanged(case):
+    assert sweep_digest(case) == SWEEP_GOLDEN[case]
 
 
 if __name__ == "__main__":
@@ -211,4 +248,8 @@ if __name__ == "__main__":
     print("BATTERY_GOLDEN = {")
     for name in BATTERY_REPORTS:
         print(f'    "{name}": "{digests[name]}",')
+    print("}")
+    print("SWEEP_GOLDEN = {")
+    for case in SWEEP_CASES:
+        print(f'    "{case}": "{sweep_digest(case)}",')
     print("}")
