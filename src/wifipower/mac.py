@@ -38,6 +38,12 @@ the trace export look values up once per code and then walk the two
 columns; `ChannelTrace.records` still reads the frames as FrameRecords,
 built one at a time.
 
+`run_mac` keeps the traces of its last distinct input, so a sweep whose
+variable leaves the MAC input unchanged simulates it once per seed.
+Every call returns its own copies, which the caller may change freely;
+the kept traces are a second copy, so a call holds about twice the heap
+per frame given above.
+
 Occupancy is accounted exactly like the standard capture-analysis
 pipeline: the payload airtime of a frame is size * 8 / rate and the
 occupancy of a window is the summed payload airtime of the frames
@@ -47,11 +53,12 @@ ACK time make the channel busy but are not occupancy.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, TraceFormatError
@@ -185,6 +192,17 @@ class ChannelTrace:
     def append(self, t_start_us: float, code: int) -> None:
         self.starts.append(t_start_us)
         self.codes.append(code)
+
+    def copy(self) -> "ChannelTrace":
+        """A trace equal to this one that shares nothing mutable with it."""
+        out = ChannelTrace(self.channel, self.duration_us, flow_stats={
+            name: replace(st) for name, st in self.flow_stats.items()
+        })
+        out.starts = self.starts[:]
+        out.codes = self.codes[:]
+        out.rows = self.rows[:]
+        out._code_of = dict(self._code_of)
+        return out
 
     @property
     def records(self) -> "FrameRecords":
@@ -624,6 +642,9 @@ def run_mac(
     Channels are fully independent; station random substreams derive
     from (seed, station id) alone, so the same station behaves
     identically no matter what happens on other channels.
+
+    The inputs are checked on every call. The traces of the last
+    distinct input are kept, and each call returns copies of them.
     """
     params = params or MacParams()
     if duration_us <= 0:
@@ -635,6 +656,14 @@ def run_mac(
         # past ~2**52 arrivals, consecutive start + k * step stop being distinct
         if duration_us / f.interval_us >= 2**52:
             raise ConfigError(f"flow {f.name!r}: over 2**52 arrivals in the MAC window")
+    traces = _simulate(tuple(stations), duration_us, params, seed)
+    return {ch: tr.copy() for ch, tr in traces.items()}
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _simulate(
+    stations: tuple[StationSpec, ...], duration_us: float, params: MacParams, seed: int
+) -> dict[int, ChannelTrace]:
     traces: dict[int, ChannelTrace] = {}
     for ch in VALID_CHANNELS:
         chan_stations = [s for s in stations if s.channel == ch]
@@ -820,6 +849,8 @@ def parse_trace_line(raw: str, lineno: int) -> Optional[tuple]:
         rate = float(rate_s)
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from exc
+    if not math.isfinite(t_start):
+        raise TraceFormatError(f"line {lineno}: start time {t_s!r} is not finite")
     if ch not in VALID_CHANNELS:
         raise TraceFormatError(f"line {lineno}: unknown channel {ch}")
     if kind not in FRAME_KINDS:

@@ -68,6 +68,10 @@ class RouterConf:
             beamforming_efficiency=self.beamforming_efficiency,
         )
 
+    def station_ids(self) -> tuple[str, ...]:
+        """The router's MAC station id on each of its channels."""
+        return tuple(f"router_ch{ch}" for ch in self.channels)
+
 
 @dataclass
 class StationConf:
@@ -193,7 +197,7 @@ class Scenario:
             raise ConfigError("packet size must be >= 1 byte")
         if self.router.queue_threshold < 1:
             raise ConfigError("queue threshold must be >= 1 frame")
-        ids = [s.station_id for s in self.stations]
+        ids = [*self.router.station_ids(), *(s.station_id for s in self.stations)]
         if len(set(ids)) != len(ids):
             raise ConfigError("station ids must be unique")
         hids = [h.harvester_id for h in self.harvesters]
@@ -349,6 +353,12 @@ def parse_scenario(text: str) -> Scenario:
                         f"line {lineno}: {section} id {sid!r} may hold only "
                         f"letters, digits, '_', '.' and '-'"
                     )
+                for other, other_id, other_line, _ in sections:
+                    if (other, other_id) == (section, sid):
+                        raise ConfigError(
+                            f"line {lineno}: {section} id {sid!r} is already "
+                            f"used at line {other_line}"
+                        )
             elif sid is not None:
                 raise ConfigError(f"line {lineno}: section [{section}] takes no id")
             elif any(s[0] == section for s in sections):
@@ -386,6 +396,10 @@ def parse_scenario(text: str) -> Scenario:
         else:
             confs[name + "s"].append(conf)
     sc = Scenario(**top, **confs)
+    router_ids = sc.router.station_ids()
+    for name, sid, lineno, _ in sections:
+        if name == "station" and sid in router_ids:
+            raise ConfigError(f"line {lineno}: station id {sid!r} is taken by the router")
     sc.validate()
     return sc
 
@@ -518,15 +532,13 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
     scheme = sc.equal_share_scheme()
     rc = sc.router
     specs: list[mac.StationSpec] = []
-    router_ids = []
+    router_ids = rc.station_ids()
     client_flows: dict[int, list[mac.FlowSpec]] = {}
     for st in sc.stations:
         if st.role != "client" or st.traffic == "none":
             continue
         client_flows.setdefault(st.channel, []).append(_traffic_flow(st, via_router=True))
-    for ch in sc.router.channels:
-        sid = f"router_ch{ch}"
-        router_ids.append(sid)
+    for ch, sid in zip(rc.channels, router_ids):
         flows: list[mac.FlowSpec] = list(client_flows.get(ch, ()))
         power = router.power_flow(
             scheme, sid, rc.power_delay_us, rc.power_size_bytes, rc.queue_threshold
@@ -548,7 +560,7 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
                 is_ap=True,
             )
         )
-    return specs, tuple(router_ids)
+    return specs, router_ids
 
 
 def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
@@ -758,19 +770,21 @@ def sweep(
 ) -> list[dict]:
     """One run per (value, seed); aggregated mean/min/max per value.
 
-    Rows are ordered by value position, not completion order.
+    Runs go seed by seed, every value for one seed before the next, so
+    the runs of a seed share their MAC input wherever the variable
+    leaves it unchanged and `mac.run_mac` simulates it once. Rows are
+    ordered by value position, and each value's metrics by seed.
     """
     seeds = list(seeds) if seeds else [sc.seed]
-    rows = []
-    for value in spec.values:
-        metrics: dict[str, list[float]] = {}
-        for seed in seeds:
+    per_value: list[dict[str, list[float]]] = [{} for _ in spec.values]
+    for seed in seeds:
+        for value, metrics in zip(spec.values, per_value):
             variant = apply_sweep_value(sc, spec.variable, value)
             variant.seed = seed
-            rep = run(variant)
-            summary = _sweep_metrics(rep)
-            for k, v in summary.items():
+            for k, v in _sweep_metrics(run(variant)).items():
                 metrics.setdefault(k, []).append(v)
+    rows = []
+    for value, metrics in zip(spec.values, per_value):
         row: dict = {"value": value}
         for k, vals in sorted(metrics.items()):
             row[f"{k}_mean"] = sum_in_order(vals) / len(vals)
@@ -840,10 +854,12 @@ def analyze_trace(
     Everything after a line's first comma (its tail) is validated by
     `mac.parse_trace_line` the first time it is seen; later lines with
     the same tail only convert their start time. A line whose start does
-    not convert goes back through `mac.parse_trace_line`, which skips it
-    as a comment or raises with its line number.
+    not convert, or converts to inf or nan, goes back through
+    `mac.parse_trace_line`, which skips it as a comment or raises with
+    its line number.
     """
     keep = None if stations is None else set(stations)
+    isfinite = math.isfinite
     t0, t1 = window_us if window_us is not None else (0.0, math.inf)
     totals: dict[int, float] = {}
     # tail -> (channel, payload airtime, passes the station filter)
@@ -857,6 +873,8 @@ def analyze_trace(
                 try:
                     t_start = float(start)
                 except ValueError:
+                    t_start = math.nan
+                if not isfinite(t_start):
                     known = None
             if known is None:
                 fields = mac.parse_trace_line(raw, lineno)

@@ -277,6 +277,8 @@ def test_c10_determinism_and_seed_sensitivity(tmp_path):
     sc.duration_s = 10.0
     sc.mac_window_s = 10.0
     rep1 = scenario.run(sc)
+    # run_mac keeps its last result: clear it so the second run simulates too
+    mac._simulate.cache_clear()
     sc2 = _load("powifi_default.cfg")
     sc2.duration_s = 10.0
     sc2.mac_window_s = 10.0

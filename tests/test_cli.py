@@ -140,6 +140,18 @@ def test_analyze_malformed_trace_exit(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("inf,1,r,beacon,300,1,delivered\n0.0,1,r,beacon,300,1,delivered\n", 1),
+    # the second line's tail is already known, so its start takes the fast path
+    ("0.0,1,r,beacon,300,1,delivered\nnan,1,r,beacon,300,1,delivered\n", 2),
+], ids=["inf_first", "nan_after_a_valid_line"])
+def test_analyze_non_finite_start_exit_2(tmp_path, capsys, text, line):
+    trace = tmp_path / "t.txt"
+    trace.write_text(text)
+    assert cli.main(["analyze", str(trace)]) == 2
+    assert f"line {line}: start time" in capsys.readouterr().err
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASIC)
     out = tmp_path / "out"
@@ -339,8 +351,14 @@ def test_window_shorter_than_a_bin_reads_its_own_length(tmp_path):
     ("duration_s = 3\nseed = 1\n[router]\nequal_share_rate_mbps = 24\n", 3,
      "equal_share_rate_mbps applies to scheme EqualShare only"),
     (BASIC + "[harvester h1]\nchannels =\n", 8, "harvester 'h1': needs at least one channel"),
+    (BASIC + "[station c1]\nchannel = 6\n[station c1]\nchannel = 6\n", 10,
+     "station id 'c1' is already used at line 8"),
+    (BASIC + "[station router_ch6]\nrole = neighbor_ap\nchannel = 6\n", 8,
+     "station id 'router_ch6' is taken by the router"),
+    (BASIC + "[harvester h1]\n[harvester h1]\n", 9, "harvester id 'h1' is already used at line 8"),
 ], ids=["top_key_twice", "router_key_twice", "rate_under_powifi", "rate_without_scheme",
-        "harvester_without_channels"])
+        "harvester_without_channels", "station_id_twice", "station_id_of_the_router",
+        "harvester_id_twice"])
 def test_config_findings_exit_2_with_their_line(tmp_path, capsys, text, line, message):
     rc = cli.main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "x")])
     assert rc == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -188,10 +189,82 @@ def test_collided_broadcasts_are_lost_not_retried():
 
 def test_determinism_and_seed_sensitivity():
     tr_a = run_single_backlogged(54.0, seed=11)
+    # run_mac keeps its last result: clear it so the second run simulates too
+    mac._simulate.cache_clear()
     tr_b = run_single_backlogged(54.0, seed=11)
     assert [r.t_start_us for r in tr_a.records] == [r.t_start_us for r in tr_b.records]
     tr_c = run_single_backlogged(54.0, seed=12)
     assert [r.t_start_us for r in tr_a.records] != [r.t_start_us for r in tr_c.records]
+
+
+MEMO_FLOW = mac.FlowSpec(name="r.power", kind="power_broadcast", interval_us=100.0,
+                         gate_threshold=5)
+MEMO_INPUT = dict(
+    stations=(mac.StationSpec("r", 6, flows=(MEMO_FLOW,), is_ap=True),
+              mac.StationSpec("n", 6, flows=(mac.FlowSpec(name="n", kind="neighbor_data"),))),
+    duration_us=50_000.0, params=mac.MacParams(), seed=3,
+)
+
+
+def trace_state(traces):
+    return {ch: (list(tr.starts), list(tr.codes), list(tr.rows), dict(tr._code_of),
+                 tr.duration_us, {k: dataclasses.replace(v) for k, v in tr.flow_stats.items()})
+            for ch, tr in traces.items()}
+
+
+def test_run_mac_keeps_its_last_result():
+    first = mac.run_mac(**MEMO_INPUT)
+    # an equal input built anew is the same key
+    again = mac.run_mac(**{**MEMO_INPUT, "stations": list(MEMO_INPUT["stations"])})
+    assert mac._simulate.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert trace_state(again) == trace_state(first)
+    assert again[6] is not first[6]
+
+
+def test_run_mac_returns_traces_the_caller_owns():
+    first = mac.run_mac(**MEMO_INPUT)
+    want = trace_state(first)
+    tr = first[6]
+    tr.starts[0] = -1.0
+    tr.codes[0] += 1
+    tr.code(mac.FrameRow(6, "x", "beacon", 300, 1.0, "delivered", 2400.0, 2424.0, "x"))
+    tr.flow_stats["r.power"].delivered += 1000
+    del tr.flow_stats["n"]
+    tr.duration_us = 1.0
+    again = mac.run_mac(**MEMO_INPUT)
+    assert mac._simulate.cache_info().hits == 1
+    assert trace_state(again) == want
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=4),
+    dict(duration_us=50_001.0),
+    dict(params=mac.MacParams(retry_limit=6)),
+    dict(stations=(dataclasses.replace(
+        MEMO_INPUT["stations"][0],
+        flows=(dataclasses.replace(MEMO_FLOW, gate_threshold=6),)),
+        MEMO_INPUT["stations"][1])),
+], ids=["seed", "window", "flow_field", "mac_params"])
+def test_run_mac_misses_when_any_input_changes(change):
+    mac.run_mac(**MEMO_INPUT)
+    changed = mac.run_mac(**{**MEMO_INPUT, **change})
+    assert mac._simulate.cache_info()[:2] == (0, 2)
+    mac._simulate.cache_clear()
+    assert trace_state(changed) == trace_state(mac.run_mac(**{**MEMO_INPUT, **change}))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(duration_us=0.0),
+    dict(stations=MEMO_INPUT["stations"] * 2),
+    dict(stations=(mac.StationSpec("r", 6, flows=(
+        dataclasses.replace(MEMO_FLOW, interval_us=1e-300),)),)),
+], ids=["window", "repeated_id", "too_many_arrivals"])
+def test_run_mac_checks_a_bad_input_on_every_call(bad):
+    mac.run_mac(**MEMO_INPUT)
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            mac.run_mac(**{**MEMO_INPUT, **bad})
+    assert mac._simulate.cache_info()[:2] == (0, 1)
 
 
 def test_station_substreams_independent_of_other_channels():

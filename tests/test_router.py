@@ -136,5 +136,7 @@ def test_engine_gates_through_the_same_rule(monkeypatch):
     gated = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
     assert gated.flow_stats["r.power"].dropped_gate > 0
     monkeypatch.setattr(mac, "gate_admits", lambda depth, threshold, frames=1: frames)
+    # run_mac keeps its last result: clear it so the second run simulates too
+    mac._simulate.cache_clear()
     open_gate = mac.run_mac(stations, duration_us=200_000.0, seed=3)[6]
     assert open_gate.flow_stats["r.power"].dropped_gate == 0

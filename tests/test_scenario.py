@@ -148,6 +148,8 @@ def test_run_reports_are_deterministic(tmp_path):
     sc1 = scenario.parse_scenario(MINIMAL)
     sc2 = scenario.parse_scenario(MINIMAL)
     rep1 = scenario.run(sc1)
+    # run_mac keeps its last result: clear it so the second run simulates too
+    mac._simulate.cache_clear()
     rep2 = scenario.run(sc2)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
@@ -534,6 +536,18 @@ def test_sweep_wall_ordering():
     intervals = [row["interval_s.cam1_mean"] for row in rows]
     assert intervals == sorted(intervals)
     assert all(math.isfinite(v) for v in intervals)
+
+
+@pytest.mark.parametrize("variable, values, simulations", [
+    ("distance", (4.0, 12.0, 24.0), 3),  # once per seed
+    ("inter_packet_delay", (100.0, 400.0), 6),  # once per run
+])
+def test_sweep_simulates_each_distinct_mac_input_once(variable, values, simulations):
+    sc = scenario.load_scenario(scenario.bundled_config("temp_sensor_range.cfg"))
+    sc.duration_s = 10.0
+    sc.mac_window_s = 0.02
+    scenario.sweep(sc, scenario.SweepSpec(variable, values), seeds=(1, 2, 3))
+    assert mac._simulate.cache_info().misses == simulations
 
 
 def test_sweep_rejects_unknown_variable():
