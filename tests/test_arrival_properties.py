@@ -128,6 +128,8 @@ def test_engine_traces_agree_with_the_per_arrival_loop(data, grid, monkeypatch):
     runs = mac.run_mac(stations, duration_us=20_000.0, seed=4)
     with monkeypatch.context() as m:
         m.setattr(mac._StationRt, "pull_arrivals", reference_pull_arrivals)
+        # run_mac keeps its last result: clear it so the reference loop runs
+        mac._simulate.cache_clear()
         ref = mac.run_mac(stations, duration_us=20_000.0, seed=4)
     assert mac.export_trace(runs.values()) == mac.export_trace(ref.values())
     assert ({ch: tr.flow_stats for ch, tr in runs.items()}

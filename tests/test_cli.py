@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from wifipower import cli, router, scenario
+from wifipower import cli, mac, router, scenario
 from wifipower.errors import ConfigError
 
 
@@ -42,6 +42,8 @@ def test_run_seed_and_duration_overrides(tmp_path):
     out2 = tmp_path / "o2"
     assert cli.main(["run", cfg, "--out-dir", str(out1), "--seed", "9",
                      "--duration", "2"]) == 0
+    # run_mac keeps its last result: clear it so the second run simulates too
+    mac._simulate.cache_clear()
     assert cli.main(["run", cfg, "--out-dir", str(out2), "--seed", "9",
                      "--duration", "2"]) == 0
     assert (out1 / "trace.txt").read_bytes() == (out2 / "trace.txt").read_bytes()

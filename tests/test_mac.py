@@ -244,7 +244,7 @@ def test_run_mac_returns_traces_the_caller_owns():
         MEMO_INPUT["stations"][0],
         flows=(dataclasses.replace(MEMO_FLOW, gate_threshold=6),)),
         MEMO_INPUT["stations"][1])),
-], ids=["seed", "window", "flow_field", "mac_params"])
+], ids=["seed", "window", "mac_params", "flow_field"])
 def test_run_mac_misses_when_any_input_changes(change):
     mac.run_mac(**MEMO_INPUT)
     changed = mac.run_mac(**{**MEMO_INPUT, **change})
@@ -442,6 +442,8 @@ def test_engine_builds_no_frame_records(monkeypatch):
     want = {ch: (list(tr.starts), [tr.rows[c] for c in tr.codes])
             for ch, tr in contended_traces(1).items()}
     monkeypatch.setattr(mac, "FrameRecord", refuse)
+    # run_mac keeps its last result: clear it so the engine runs again
+    mac._simulate.cache_clear()
     traces = contended_traces(1)
     assert {ch: (list(tr.starts), [tr.rows[c] for c in tr.codes])
             for ch, tr in traces.items()} == want
