@@ -11,6 +11,10 @@ pins the harvester reports of one more config, `BATTERY_CONFIG`, which
 lives here: both battery presets near and far, in the open and behind
 a wall, over an hour.
 
+`ZERO_DUTY_GOLDEN` pins the harvester reports of `ZERO_DUTY_CONFIG`,
+whose harvesters (all four presets) draw only from channels the router
+does not serve, so each runs over an envelope with no power in it.
+
 `SWEEP_GOLDEN` pins the bytes of `sweep_csv` for three short sweeps:
 two that leave every MAC input unchanged (`distance`, `wall_material`)
 and one that changes it (`inter_packet_delay`), each over several seeds.
@@ -161,6 +165,36 @@ BATTERY_GOLDEN = {
     "summary.txt": "83ba444c56e1235496ca2f2ad4fb275e1c6f3d8f90c483c0598974a7a64f951c",
 }
 
+ZERO_DUTY_CONFIG = """\
+duration_s = 3600
+seed = 1
+mac_window_s = 0.2
+
+[router]
+channels = 1
+
+[harvester temp_free]
+kind = temp_battery_free
+channels = 6, 11
+
+[harvester temp_batt]
+kind = temp_battery
+channels = 6
+
+[harvester cam_free]
+kind = camera_battery_free
+channels = 11
+
+[harvester cam_batt]
+kind = camera_battery
+channels = 6, 11
+"""
+
+ZERO_DUTY_GOLDEN = {
+    "harvester.csv": "c2c304291938f2030e531827f701fc03b20fc8cc695ab4d44d869ffbdb52da63",
+    "summary.txt": "527ebad1a739897479977ab7b5674ef7907d3b791141286a2a6fa909de58eef0",
+}
+
 #: name -> (bundled config, variable, values, seeds, duration_s); each
 #: runs with `mac_window_s = 0.05`
 SWEEP_CASES = {
@@ -202,6 +236,10 @@ def battery_digests(out_dir: str) -> dict[str, str]:
     return _digests(scenario.parse_scenario(BATTERY_CONFIG), out_dir, BATTERY_REPORTS)
 
 
+def zero_duty_digests(out_dir: str) -> dict[str, str]:
+    return _digests(scenario.parse_scenario(ZERO_DUTY_CONFIG), out_dir, BATTERY_REPORTS)
+
+
 def sweep_digest(case: str) -> str:
     config, variable, values, seeds, duration_s = SWEEP_CASES[case]
     sc = scenario.load_scenario(scenario.bundled_config(config))
@@ -225,6 +263,10 @@ def test_battery_report_digests_unchanged(tmp_path):
     assert battery_digests(str(tmp_path)) == BATTERY_GOLDEN
 
 
+def test_zero_duty_report_digests_unchanged(tmp_path):
+    assert zero_duty_digests(str(tmp_path)) == ZERO_DUTY_GOLDEN
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_csv_unchanged(case):
     assert sweep_digest(case) == SWEEP_GOLDEN[case]
@@ -246,6 +288,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = battery_digests(tmp)
     print("BATTERY_GOLDEN = {")
+    for name in BATTERY_REPORTS:
+        print(f'    "{name}": "{digests[name]}",')
+    print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = zero_duty_digests(tmp)
+    print("ZERO_DUTY_GOLDEN = {")
     for name in BATTERY_REPORTS:
         print(f'    "{name}": "{digests[name]}",')
     print("}")
