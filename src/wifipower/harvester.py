@@ -462,14 +462,18 @@ def _walk(
     """The capacitor stepping rule: step the store `span_s` seconds
     through `pieces`, each (seconds, transfer watts) of constant input,
     from `offset` seconds into them and wrapping round at their end;
-    `levels` are the store's `_store_levels`.
+    `levels` are the store's `_store_levels`. The first piece is always
+    stepped, however short the span.
 
-    This is the innermost loop of `run_envelope`, so the clock, the
-    store, the ledger terms, `booted` and a pending boot stay in locals
-    for the whole walk and go back to `state` at its end. Each stretch
-    of time is booked in place; one that runs to the end of its piece
-    books the rest and moves on to the next piece. The first piece is
-    always stepped, however short the span.
+    Each stretch heads for one level: activation while the input beats
+    leakage, else the cutoff while booted and the floor after. One
+    crossing rule books the stretch up to the level, or to the end of
+    its piece; only the event at the level differs (boot or fire,
+    brown-out). A store pinned at the floor, or with no net input,
+    holds to the end of the piece, and one held at activation with
+    nothing to boot or fire curtails its surplus. This is the innermost
+    loop of `run_envelope`, so the clock, the store, the ledger terms,
+    `booted` and a pending boot stay in locals for the whole walk.
     """
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     e_floor, e_cut, e_act = levels
@@ -517,47 +521,21 @@ def _walk(
                 continue
 
             if net > 0:
-                at_ceiling = e >= e_top
-                if not at_ceiling:
-                    t_cross = (e_act - e) / net
-                    if t_cross >= remaining:
-                        e += net * remaining
-                        harvested += p_in_w * remaining
-                        leaked += leak * remaining
-                        t += remaining
-                        break
-                    e = e_act
-                    harvested += p_in_w * t_cross
-                    leaked += leak * t_cross
-                    t += t_cross
-                    remaining -= t_cross
-                # At activation: boot, or fire when booted.
-                if not booted:
-                    booted = True
-                    state.log(t, "boot", store.voltage(e))
-                    if cfg.load is not None:
-                        pending = t + cfg.load.boot_time_s
-                elif booted and cfg.load is not None:
-                    e, booted = _fire(state, t, e, booted, cfg, levels)
-                if at_ceiling and pending is None and e >= e_top:
-                    # Pinned at the ceiling; surplus is curtailed.
-                    curtailed += net * remaining
-                    harvested += p_in_w * remaining
-                    leaked += leak * remaining
-                    t += remaining
-                    break
-            elif net < 0:
-                if booted and e > e_cut:
-                    target = e_cut
-                elif e > e_floor:
-                    target = e_floor
-                else:
-                    # Pinned at the floor: whatever trickles in leaks away.
-                    harvested += p_in_w * remaining
-                    leaked += p_in_w * remaining
-                    t += remaining
-                    break
-                t_cross = (e - target) / (-net)
+                target = e_act
+            elif net < 0 and booted and e > e_cut:
+                target = e_cut
+            elif net < 0 and e > e_floor:
+                target = e_floor
+            else:
+                # Pinned at the floor, or no net input: whatever comes in
+                # leaks away (at net 0 the input is the leakage).
+                harvested += p_in_w * remaining
+                leaked += p_in_w * remaining
+                t += remaining
+                break
+            at_ceiling = net > 0 and e >= e_top
+            if not at_ceiling:
+                t_cross = (target - e) / net
                 if t_cross >= remaining:
                     e += net * remaining
                     harvested += p_in_w * remaining
@@ -569,10 +547,20 @@ def _walk(
                 leaked += leak * t_cross
                 t += t_cross
                 remaining -= t_cross
+            if net < 0:
                 if target == e_cut and booted:
                     booted = False
                     state.log(t, "brown_out", store.voltage(e))
-            else:
+            elif not booted:
+                booted = True
+                state.log(t, "boot", store.voltage(e))
+                if cfg.load is not None:
+                    pending = t + cfg.load.boot_time_s
+            elif cfg.load is not None:
+                e, booted = _fire(state, t, e, booted, cfg, levels)
+            if at_ceiling and pending is None and e >= e_top:
+                # Pinned at the ceiling; surplus is curtailed.
+                curtailed += net * remaining
                 harvested += p_in_w * remaining
                 leaked += leak * remaining
                 t += remaining
@@ -621,9 +609,12 @@ def energy_neutral_update_rate(p_harvest_w: float, load: SensorLoad) -> float:
 
 Segment = tuple[float, PowerDbm]  # (duration in seconds, incident power)
 
+#: Length of the periodic incident-power envelope a harvester is driven over.
+ENVELOPE_PERIOD_S = 0.010
+
 
 def duty_envelope(
-    channel_power: Sequence[tuple[PowerDbm, float]], period_s: float = 0.010
+    channel_power: Sequence[tuple[PowerDbm, float]], period_s: float = ENVELOPE_PERIOD_S
 ) -> list[Segment]:
     """One period of incident power from per-channel (rx, duty) pairs.
 
@@ -665,6 +656,23 @@ def duty_envelope(
         p = mw_sum_dbm(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
         segments.append((b - a, p))
     return segments
+
+
+def link_envelope(
+    eirp: PowerDbm,
+    g_rx: GainDbi,
+    distance_m: float,
+    wall: rf.WallMaterial,
+    channel_duty: Sequence[tuple[int, float]],
+) -> list[Segment]:
+    """The `duty_envelope` a harvester sees `distance_m` from a router
+    radiating `eirp`, behind `wall`, from each (channel, duty) it draws
+    from; a channel at duty 0 adds nothing, and all at 0 give silence."""
+    chan_power = []
+    for ch, duty in channel_duty:
+        link = rf.LinkGeometry(Distance(distance_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), wall)
+        chan_power.append((rf.received_power(eirp, g_rx, link), duty))
+    return duty_envelope(chan_power, ENVELOPE_PERIOD_S)
 
 
 def mean_transfer_power_w(segments: Sequence[Segment], cfg: HarvesterConfig) -> float:
@@ -784,48 +792,42 @@ def run_envelope(
 def max_operating_range(
     plan: fcc.TxPlan,
     cfg: HarvesterConfig,
-    load: Optional[SensorLoad] = None,
     *,
     g_rx: GainDbi = GainDbi(2.0),
     duty: float = 0.9,
     channels: Sequence[int] = (1, 6, 11),
     wall: rf.WallMaterial = rf.WallMaterial.NONE,
-    hi_m: float = 100.0,
 ) -> Distance:
-    """Largest distance at which steady-state operation is sustainable.
+    """Largest distance, up to 100 m, at which steady-state operation is
+    sustainable.
 
     Battery-free: the time-average power entering storage must exceed
     the storage leakage (the store then eventually reaches the boot
     voltage). Battery-assisted: the average rectified power must exceed
     the converter's quiescent draw (the energy-neutral update rate is
-    then positive). Found by bisection on the link budget, at most 80
-    steps and none once the bounds are adjacent doubles; returns a zero
-    Distance when even point-blank operation is unsustainable.
+    then positive). Found by bisection on the envelope `scenario.run`
+    drives a harvester with (`link_envelope`), at most 80 steps and
+    none once the bounds are adjacent doubles; returns a zero Distance
+    when even point-blank operation is unsustainable.
 
     `duty` is the per-channel busy fraction; `channels` is the set the
     harvester draws from, so a single-channel harvester passes one.
     """
-    load = load or cfg.load
     eirp = fcc.plan_eirp(plan)
+    if isinstance(cfg.storage, BatteryStore):
+        draw_w = cfg.dcdc.quiescent_w  # type: ignore[union-attr]
+    else:
+        draw_w = cfg.storage.leakage_w
 
     def sustainable(d_m: float) -> bool:
-        chan_power = []
-        for ch in channels:
-            freq = Frequency(rf.CHANNEL_FREQ_HZ[ch])
-            link = rf.LinkGeometry(Distance(d_m), freq, wall)
-            chan_power.append((rf.received_power(eirp, g_rx, link), duty))
-        segs = duty_envelope(chan_power)
-        mean_in = mean_transfer_power_w(segs, cfg)
-        if isinstance(cfg.storage, BatteryStore):
-            dcdc: BatteryAssistedConverter = cfg.dcdc  # type: ignore[assignment]
-            return mean_in - dcdc.quiescent_w > 0.0
-        return mean_in - cfg.storage.leakage_w > 0.0
+        segs = link_envelope(eirp, g_rx, d_m, wall, [(ch, duty) for ch in channels])
+        return mean_transfer_power_w(segs, cfg) - draw_w > 0.0
 
-    if duty <= 0.0 or not sustainable(rf.MIN_RANGE_M):
+    lo, hi = rf.MIN_RANGE_M, 100.0
+    if duty <= 0.0 or not sustainable(lo):
         return Distance(0.0)
-    if sustainable(hi_m):
-        return Distance(hi_m)
-    lo, hi = rf.MIN_RANGE_M, hi_m
+    if sustainable(hi):
+        return Distance(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

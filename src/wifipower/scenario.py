@@ -25,12 +25,12 @@ from typing import Iterator, Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
 from .errors import ConfigError
-from .units import METERS_PER_FOOT, Distance, Frequency, GainDbi, PowerDbm, sum_in_order
+from .units import METERS_PER_FOOT, GainDbi, PowerDbm, sum_in_order
 
 DEFAULT_MAC_WINDOW_S = 60.0
 #: Most report bins a bin key may ask for over the MAC window.
 MAX_BINS = 10**6
-ENVELOPE_PERIOD_S = 0.010
+ENVELOPE_PERIOD_S = hv.ENVELOPE_PERIOD_S
 
 SWEEP_VARIABLES = (
     "distance",
@@ -602,19 +602,14 @@ def occupancy_bins(
 
 
 def harvest_duty(
-    trace: mac.ChannelTrace,
-    router_ids: tuple[str, ...],
-    phy_overhead_us: float = 24.0,
+    trace: mac.ChannelTrace, router_ids: tuple[str, ...], phy_overhead_us: float
 ) -> float:
-    """Fraction of the window with router RF on the air (`mac.on_air_us`):
-    the duty `run` takes from `mac.channel_sums`, in one sum over the codes."""
-    keep = set(router_ids)
-    # frames of other stations add 0.0, which leaves a sum from 0.0 as it is
-    on_air = [
-        mac.on_air_us(row, phy_overhead_us) if row.station_id in keep else 0.0
-        for row in trace.rows
-    ]
-    return min(1.0, sum_in_order(map(on_air.__getitem__, trace.codes)) / trace.duration_us)
+    """Fraction of the window with router RF on the air: the `on_air_us`
+    of `mac.channel_sums` over the window, capped at 1, which is the
+    duty `run` drives the harvesters with."""
+    duration = trace.duration_us
+    sums = mac.channel_sums(trace, router_ids, duration, duration, phy_overhead_us)
+    return min(1.0, sums.on_air_us / duration)
 
 
 def run(sc: Scenario) -> ReportSet:
@@ -664,20 +659,12 @@ def run(sc: Scenario) -> ReportSet:
     duties = {ch: min(1.0, sums[ch].on_air_us / tr.duration_us) for ch, tr in traces.items()}
     for h in sc.harvesters:
         cfg = h.config()
-        chan_power = []
-        for ch in h.channels:
-            link = rf.LinkGeometry(
-                Distance(h.distance_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), h.wall
-            )
-            chan_power.append(
-                (rf.received_power(eirp, GainDbi(h.g_rx_dbi), link), duties.get(ch, 0.0))
-            )
-        if all(duty == 0.0 for _, duty in chan_power):
-            state = hv.new_state(cfg)
-            state.t_s = sc.duration_s
-        else:
-            segments = hv.duty_envelope(chan_power, ENVELOPE_PERIOD_S)
-            state = hv.run_envelope(cfg, segments, sc.duration_s)
+        # a channel the router does not serve is silent
+        segments = hv.link_envelope(
+            eirp, GainDbi(h.g_rx_dbi), h.distance_m, h.wall,
+            [(ch, duties.get(ch, 0.0)) for ch in h.channels],
+        )
+        state = hv.run_envelope(cfg, segments, sc.duration_s)
         harv_events[h.harvester_id] = list(state.events)
         fires = [t for t, e, _ in state.events if e == "sensor_fire"]
         gaps = [b - a for a, b in zip(fires, fires[1:])]
@@ -854,12 +841,12 @@ def analyze_trace(
     Everything after a line's first comma (its tail) is validated by
     `mac.parse_trace_line` the first time it is seen; later lines with
     the same tail only convert their start time. A line whose start does
-    not convert, or converts to inf or nan, goes back through
-    `mac.parse_trace_line`, which skips it as a comment or raises with
-    its line number.
+    not convert, or falls outside `mac.parse_trace_line`'s rule
+    0 <= t < inf, goes back through it, which skips the line as a
+    comment or raises with its line number.
     """
     keep = None if stations is None else set(stations)
-    isfinite = math.isfinite
+    inf = math.inf
     t0, t1 = window_us if window_us is not None else (0.0, math.inf)
     totals: dict[int, float] = {}
     # tail -> (channel, payload airtime, passes the station filter)
@@ -874,7 +861,7 @@ def analyze_trace(
                     t_start = float(start)
                 except ValueError:
                     t_start = math.nan
-                if not isfinite(t_start):
+                if not 0.0 <= t_start < inf:
                     known = None
             if known is None:
                 fields = mac.parse_trace_line(raw, lineno)
