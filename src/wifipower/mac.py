@@ -849,8 +849,8 @@ def parse_trace_line(raw: str, lineno: int) -> Optional[tuple]:
         rate = float(rate_s)
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    if not math.isfinite(t_start):
-        raise TraceFormatError(f"line {lineno}: start time {t_s!r} is not finite")
+    if not 0.0 <= t_start < math.inf:
+        raise TraceFormatError(f"line {lineno}: start time {t_s!r} must be finite and >= 0")
     if ch not in VALID_CHANNELS:
         raise TraceFormatError(f"line {lineno}: unknown channel {ch}")
     if kind not in FRAME_KINDS:

@@ -146,7 +146,10 @@ def test_analyze_malformed_trace_exit(tmp_path, capsys):
     ("inf,1,r,beacon,300,1,delivered\n0.0,1,r,beacon,300,1,delivered\n", 1),
     # the second line's tail is already known, so its start takes the fast path
     ("0.0,1,r,beacon,300,1,delivered\nnan,1,r,beacon,300,1,delivered\n", 2),
-], ids=["inf_first", "nan_after_a_valid_line"])
+    ("-3000.0,1,r,beacon,300,1,delivered\n0.0,1,r,beacon,300,1,delivered\n", 1),
+    ("0.0,1,r,beacon,300,1,delivered\n-3000.0,1,r,beacon,300,1,delivered\n", 2),
+], ids=["inf_first", "nan_after_a_valid_line", "negative_first",
+        "negative_after_a_valid_line"])
 def test_analyze_non_finite_start_exit_2(tmp_path, capsys, text, line):
     trace = tmp_path / "t.txt"
     trace.write_text(text)

@@ -481,6 +481,8 @@ def test_parse_trace_errors_carry_line_numbers():
         mac.parse_trace("0.0,6,s,beacon,300,13,delivered\n")
     with pytest.raises(TraceFormatError, match="unknown frame kind"):
         mac.parse_trace("0.0,6,s,mystery,300,1,delivered\n")
+    with pytest.raises(TraceFormatError, match="line 2: start time '-3000.0'"):
+        mac.parse_trace("0.0,6,s,beacon,300,1,delivered\n-3000.0,6,s,beacon,300,1,delivered\n")
 
 
 def test_parse_trace_concatenated_channels_cumulative():
