@@ -111,20 +111,19 @@ def burst_completion_times_ms(
         row.busy_time_us if row.flow == flow and row.outcome == "delivered" else None
         for row in trace.rows
     ]
-    done: dict[int, tuple[int, float]] = {}
+    done: dict[int, tuple[int, float]] = {}  # burst -> (frames delivered, last end)
+    delivered = 0
     for t, c in zip(trace.starts, trace.codes):
         if busy[c] is None:
             continue
         # Frames of burst k are issued together; attribute by
         # issue order since delivery order preserves FIFO within a flow.
-        k_seen = done.setdefault(-1, (0, 0.0))[0]
-        burst_idx = k_seen // frames_per_burst
-        done[-1] = (k_seen + 1, 0.0)
-        end = t + busy[c]
+        burst_idx = delivered // frames_per_burst
+        delivered += 1
         prev = done.get(burst_idx, (0, 0.0))
-        done[burst_idx] = (prev[0] + 1, max(prev[1], end))
+        done[burst_idx] = (prev[0] + 1, max(prev[1], t + busy[c]))
     out = []
-    for k in sorted(k for k in done if k >= 0):
+    for k in sorted(done):
         n, end = done[k]
         if n == frames_per_burst:
             out.append((end - (start_us + k * period_us)) / 1000.0)
