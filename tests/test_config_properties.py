@@ -3,12 +3,17 @@
 A bundled config with lines dropped, duplicated or swapped, or with
 keys set to random tokens, either parses into a scenario whose stations
 and transmit plan build, or raises `ConfigError` (exit 2 at the CLI);
-never another exception (exit 3). Parse only: nothing is run.
+never another exception (exit 3). A config that parses also runs,
+with a short MAC window and duration: its reports hold no `nan` and
+its trace reads back through `analyze_trace`.
 """
 
+import os
+import re
+import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wifipower import scenario
 from wifipower.errors import ConfigError
@@ -60,3 +65,30 @@ def test_edited_configs_parse_or_raise_config_error(text):
         sc.router.tx_plan()
     except ConfigError:
         pass
+
+
+#: The run-level fuzz caps each run so that the whole test stays short.
+RUN_MAC_WINDOW_S = 0.05
+RUN_DURATION_S = 60.0
+
+
+# most edited configs do not parse; only the ones that do count as examples
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(edited_configs())
+def test_edited_configs_that_parse_run_and_read_back(text):
+    try:
+        sc = scenario.parse_scenario(text)
+    except ConfigError:
+        assume(False)
+    sc.duration_s = min(sc.duration_s, RUN_DURATION_S)
+    sc.mac_window_s = min(sc.effective_mac_window_s(), RUN_MAC_WINDOW_S)
+    rep = scenario.run(sc)
+    with tempfile.TemporaryDirectory() as out:
+        rep.write_outputs(out)
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                # a harvester firing fewer than twice has mean_interval_s=inf
+                assert "nan" not in re.split(r"[,=\n]", fh.read()), name
+        read = scenario.analyze_trace(os.path.join(out, "trace.txt"))
+    assert sorted(read["per_channel"]) == sorted(ch for ch, tr in rep.traces.items() if tr.starts)
