@@ -187,6 +187,64 @@ def test_collided_broadcasts_are_lost_not_retried():
     assert stats.lost == collided_power
 
 
+
+# The back-to-back rule, 1500 B at 54 Mbps: a station whose last frame
+# was a delivered broadcast, whose next frame is a broadcast and which
+# faces no other contender sends at once; every other frame waits at
+# least DIFS after the medium goes idle.
+B2B = mac.MacParams()
+B2B_BROADCAST_US = B2B.phy_overhead_us + 12000.0 / 54.0
+B2B_UNICAST_US = B2B_BROADCAST_US + B2B.sifs_us + B2B.ack_airtime_us
+
+
+def b2b_trace(flows_by_station, window_us: float) -> mac.ChannelTrace:
+    stations = [mac.StationSpec(sid, 6, flows=flows) for sid, flows in flows_by_station]
+    return mac.run_mac(stations, duration_us=window_us, seed=1)[6]
+
+
+def broadcast(name: str, **kw) -> mac.FlowSpec:
+    return mac.FlowSpec(name=name, kind="power_broadcast", **kw)
+
+
+def test_lone_backlogged_broadcaster_sends_back_to_back():
+    starts = list(b2b_trace([("a", (broadcast("a.p"),))], 20_000.0).starts)
+    assert len(starts) == 81
+    assert starts[0] >= B2B.difs_us
+    for prev, t in zip(starts, starts[1:]):
+        assert t == prev + B2B_BROADCAST_US
+
+
+def test_paced_broadcaster_contends_after_an_idle_gap():
+    # its queue empties after each frame, so each frame waits DIFS anew
+    starts = list(b2b_trace([("a", (broadcast("a.p", interval_us=1000.0),))], 20_000.0).starts)
+    assert len(starts) == 20
+    for k, t in enumerate(starts):
+        assert t >= k * 1000.0 + B2B.difs_us
+
+
+def test_two_backlogged_broadcasters_never_send_back_to_back():
+    tr = b2b_trace([("a", (broadcast("a.p"),)), ("b", (broadcast("b.p"),))], 50_000.0)
+    starts = sorted(set(tr.starts))
+    assert len(starts) == 162
+    assert sum(1 for r in tr.records if r.outcome == "collided") == 18
+    for prev, t in zip(starts, starts[1:]):
+        assert t >= prev + B2B_BROADCAST_US + B2B.difs_us
+
+
+def test_broadcast_after_a_delivered_unicast_contends():
+    unicast = mac.FlowSpec(name="a.u", kind="client_data", interval_us=2000.0)
+    records = list(b2b_trace([("a", (unicast, broadcast("a.p")))], 20_000.0).records)
+    pairs = list(zip(records, records[1:]))
+    assert any(a.kind == "client_data" and b.kind == "power_broadcast" for a, b in pairs)
+    assert any(a.kind == b.kind == "power_broadcast" for a, b in pairs)
+    for a, b in pairs:
+        assert a.outcome == "delivered"
+        if a.kind == b.kind == "power_broadcast":
+            assert b.t_start_us == a.t_start_us + B2B_BROADCAST_US
+        else:
+            busy = B2B_UNICAST_US if a.kind == "client_data" else B2B_BROADCAST_US
+            assert b.t_start_us >= a.t_start_us + busy + B2B.difs_us
+
 def test_determinism_and_seed_sensitivity():
     tr_a = run_single_backlogged(54.0, seed=11)
     # run_mac keeps its last result: clear it so the second run simulates too
