@@ -29,14 +29,16 @@ that `random.Random.randrange` runs, so the stream is bit-identical to
 A trace is stored as columns. Each ChannelTrace holds an `array('d')`
 of frame start times, an `array('I')` of frame codes, and one FrameRow
 per distinct (station, flow, kind, size, rate, outcome, payload airtime,
-busy time). The engine registers a delivered and a collided code per
-flow before its loop and appends just a start time and a code per
-frame: on the first seed-1 `home-contended` benchmark input that is
+busy time). Each flow registers its delivered and collided code in the
+trace as the engine builds it (`_FlowRt`, from the flow's spec), and
+the loop appends just a start time and a code per frame: on the first
+seed-1 `home-contended` benchmark input that is
 13.0 bytes of heap per frame, down from 143.2 for the list of
 FrameRecords it replaces (`mac.heap_bytes_per_frame`). The metrics and
 the trace export look values up once per code and then walk the two
 columns; `ChannelTrace.records` still reads the frames as FrameRecords,
-built one at a time.
+built one at a time. A flow's counters live only in the FlowStats that
+its trace reports, and the engine counts into it.
 
 `run_mac` keeps the traces of its last distinct input, so a sweep whose
 variable leaves the MAC input unchanged simulates it once per seed.
@@ -140,7 +142,7 @@ class FrameRow(NamedTuple):
     flow: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     admitted: int = 0
     dropped_gate: int = 0
@@ -442,44 +444,38 @@ def station_seed(master_seed: int, station_id: str) -> int:
 
 
 class _FlowRt:
-    """Live counters of one flow plus the per-frame constants of its spec."""
+    """One flow in the engine. It registers its stats and the codes of
+    its delivered and collided frames in the channel's trace; `codes`
+    and `busy` are indexed by collision."""
 
     __slots__ = (
-        # per-frame constants
-        "name", "kind", "size_bytes", "rate_mbps", "broadcast", "payload_us",
-        "busy_delivered_us", "busy_collided_us", "gate", "backlogged",
-        # trace codes of a delivered and a collided frame, indexed by collision
-        "codes",
-        # arrival process: arrival k is at start_us + k * step_us
-        "start_us", "step_us", "per_step", "emitted", "next_arrival",
-        # counters
-        "queued", "admitted", "dropped_gate", "delivered", "lost",
+        "spec", "stats", "broadcast", "backlogged", "codes", "busy", "queued",
+        # arrival k is at spec.start_us + k * spec.interval_us
+        "emitted", "next_arrival",
     )
 
-    def __init__(self, spec: FlowSpec, params: MacParams):
-        self.name = spec.name
-        self.kind = spec.kind
-        self.size_bytes = spec.size_bytes
-        self.rate_mbps = spec.rate_mbps
+    def __init__(self, spec: FlowSpec, station_id: str, params: MacParams, trace: ChannelTrace):
+        self.spec = spec
+        self.stats = trace.flow_stats[spec.name] = FlowStats()
         self.broadcast = spec.kind in BROADCAST_KINDS
-        self.payload_us = payload_airtime_us(spec.size_bytes, spec.rate_mbps)
-        self.busy_collided_us = params.phy_overhead_us + self.payload_us
-        self.busy_delivered_us = self.busy_collided_us
-        if not self.broadcast:  # a delivered unicast also holds SIFS + ACK
-            self.busy_delivered_us += params.sifs_us + params.ack_airtime_us
-        self.gate = spec.gate_threshold
         self.backlogged = spec.interval_us is None
-        self.start_us = spec.start_us
-        self.step_us = spec.interval_us
-        self.per_step = spec.frames_per_burst
-        self.codes = (0, 0)
+        payload_us = payload_airtime_us(spec.size_bytes, spec.rate_mbps)
+        collided_us = params.phy_overhead_us + payload_us
+        # a delivered unicast also holds SIFS + ACK
+        delivered_us = collided_us
+        if not self.broadcast:
+            delivered_us += params.sifs_us + params.ack_airtime_us
+        self.busy = (delivered_us, collided_us)
+        self.codes = tuple(
+            trace.code(FrameRow(
+                trace.channel, station_id, spec.kind, spec.size_bytes, spec.rate_mbps,
+                outcome, payload_us, busy, spec.name,
+            ))
+            for outcome, busy in zip(("delivered", "collided"), self.busy)
+        )
         self.emitted = 0
         self.next_arrival = math.inf if self.backlogged else spec.start_us
         self.queued = 0
-        self.admitted = 0
-        self.dropped_gate = 0
-        self.delivered = 0
-        self.lost = 0
 
 
 class _StationRt:
@@ -489,7 +485,9 @@ class _StationRt:
         "next_t",
     )
 
-    def __init__(self, spec: StationSpec, master_seed: int, params: MacParams):
+    def __init__(
+        self, spec: StationSpec, master_seed: int, params: MacParams, trace: ChannelTrace
+    ):
         self.station_id = spec.station_id
         flows = list(spec.flows)
         if spec.is_ap:
@@ -497,7 +495,7 @@ class _StationRt:
                 name=f"{spec.station_id}.beacon", kind="beacon", size_bytes=BEACON_SIZE_BYTES,
                 rate_mbps=BEACON_RATE_MBPS, interval_us=BEACON_INTERVAL_US,
             ))
-        self.flows = [_FlowRt(f, params) for f in flows]
+        self.flows = [_FlowRt(f, spec.station_id, params, trace) for f in flows]
         self.backlogged = any(fl.backlogged for fl in self.flows)
         seed = station_seed(master_seed, spec.station_id)
         self.getrandbits = random.Random(seed).getrandbits
@@ -539,7 +537,8 @@ class _StationRt:
                 self.queued = queued
                 self.next_t = t_next
                 return
-            gate = best.gate
+            spec = best.spec
+            gate = spec.gate_threshold
             end = up_to
             if gate_admits(queued, gate):
                 listed_before = True  # such a flow goes first at a tie
@@ -550,17 +549,17 @@ class _StationRt:
                         end = fl.next_arrival
                         if listed_before:
                             end = math.nextafter(end, -math.inf)
-            start, step = best.start_us, best.step_us
+            start, step = spec.start_us, spec.interval_us
             last = int((end - start) // step)
             while start + (last + 1) * step <= end:
                 last += 1
             while start + last * step > end:
                 last -= 1
-            frames = (last + 1 - best.emitted) * best.per_step
+            frames = (last + 1 - best.emitted) * spec.frames_per_burst
             n = gate_admits(queued, gate, frames)
             best.queued += n
-            best.admitted += n
-            best.dropped_gate += frames - n
+            best.stats.admitted += n
+            best.stats.dropped_gate += frames - n
             queued += n
             best.emitted = last + 1
             best.next_arrival = start + best.emitted * step
@@ -680,44 +679,29 @@ def _run_channel(
     params: MacParams,
     seed: int,
 ) -> ChannelTrace:
-    stations = [_StationRt(s, seed, params) for s in specs]
     trace = ChannelTrace(channel=channel, duration_us=duration_us)
-    for st in stations:
-        for fl in st.flows:
-            fl.codes = tuple(
-                trace.code(FrameRow(
-                    channel, st.station_id, fl.kind, fl.size_bytes, fl.rate_mbps,
-                    outcome, fl.payload_us, busy, fl.name,
-                ))
-                for outcome, busy in (("delivered", fl.busy_delivered_us),
-                                      ("collided", fl.busy_collided_us))
-            )
+    stations = [_StationRt(s, seed, params, trace) for s in specs]
     append_start = trace.starts.append
     append_code = trace.codes.append
     difs = params.difs_us
     slot = params.slot_us
     t = 0.0
-    last_end = -1.0
-    last_station: Optional[_StationRt] = None
-    last_broadcast = False
+    # the sender of the frame that just ended, if it was a delivered
+    # broadcast: it may send its next broadcast back to back
+    last_broadcaster: Optional[_StationRt] = None
 
     while t < duration_us:
         ready, t_arr = _ready_at(stations, t)
         if not ready:
             t = t_arr
+            last_broadcaster = None
             if t >= duration_us:
                 break
             continue
 
         # Broadcast burst continuation: queued broadcasts drain back to
         # back while nobody else wants the channel.
-        if (
-            len(ready) == 1
-            and ready[0] is last_station
-            and last_broadcast
-            and ready[0].head.broadcast
-            and t == last_end
-        ):
+        if len(ready) == 1 and ready[0] is last_broadcaster and ready[0].head.broadcast:
             winners = ready
             t_start = t
         else:
@@ -755,33 +739,30 @@ def _run_channel(
         busy_end = t_start
         for st in winners:
             fl = st.head
-            busy = fl.busy_collided_us if collision else fl.busy_delivered_us
+            busy = fl.busy[collision]
             append_start(t_start)
             append_code(fl.codes[collision])
             if t_start + busy > busy_end:
                 busy_end = t_start + busy
             st.backoff_slots = None
             if not collision:
-                fl.delivered += 1
+                fl.stats.delivered += 1
                 st.head = None
                 st.cw = params.cw_min
-                st.retries = 0
             elif fl.broadcast:
-                fl.lost += 1
+                fl.stats.lost += 1
                 st.head = None
             else:
                 st.retries += 1
                 if st.retries > params.retry_limit:
-                    fl.lost += 1
+                    fl.stats.lost += 1
                     st.head = None
                     st.cw = params.cw_min
-                    st.retries = 0
                 else:
                     st.cw = min(2 * st.cw + 1, params.cw_max)
 
-        t = last_end = busy_end
-        last_station = None if collision else winners[0]
-        last_broadcast = not collision and fl.broadcast
+        t = busy_end
+        last_broadcaster = st if not collision and fl.broadcast else None
 
     # Arrivals after the last event still count as offered. No frame can
     # leave a queue before the window ends, so the gate sees the final
@@ -790,10 +771,6 @@ def _run_channel(
     for st in stations:
         if st.next_t <= last_instant:
             st.pull_arrivals(last_instant)
-    for st in stations:
-        for fl in st.flows:
-            stats = FlowStats(fl.admitted, fl.dropped_gate, fl.delivered, fl.lost)
-            trace.flow_stats[fl.name] = stats
     return trace
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ of a flow's arrivals per pass, so the two must agree on every counter
 after any sequence of pulls and head takes, ties between flows included.
 """
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -27,12 +29,13 @@ def reference_gate_admits(queue_depth, gate_threshold):
 
 
 def reference_drop_through(fl, up_to):
-    last = int((up_to - fl.start_us) // fl.step_us)
-    while fl.start_us + (last + 1) * fl.step_us <= up_to:
+    spec = fl.spec
+    last = int((up_to - spec.start_us) // spec.interval_us)
+    while spec.start_us + (last + 1) * spec.interval_us <= up_to:
         last += 1
-    while fl.start_us + last * fl.step_us > up_to:
+    while spec.start_us + last * spec.interval_us > up_to:
         last -= 1
-    fl.dropped_gate += (last + 1 - fl.emitted) * fl.per_step
+    fl.stats.dropped_gate += (last + 1 - fl.emitted) * spec.frames_per_burst
     fl.emitted = last + 1
 
 
@@ -50,19 +53,20 @@ def reference_pull_arrivals(self, up_to):
             self.queued = queued
             self.next_t = t_next
             return
-        gate = best.gate
+        gate = best.spec.gate_threshold
+        per_step = best.spec.frames_per_burst
         if reference_gate_admits(queued, gate):
             n = 1
-            while n < best.per_step and reference_gate_admits(queued + n, gate):
+            while n < per_step and reference_gate_admits(queued + n, gate):
                 n += 1
             best.queued += n
-            best.admitted += n
-            best.dropped_gate += best.per_step - n
+            best.stats.admitted += n
+            best.stats.dropped_gate += per_step - n
             queued += n
             best.emitted += 1
         else:
             reference_drop_through(best, up_to)
-        best.next_arrival = best.start_us + best.emitted * best.step_us
+        best.next_arrival = best.spec.start_us + best.emitted * best.spec.interval_us
 
 
 @st.composite
@@ -86,11 +90,11 @@ def flow_specs(draw, grid, min_interval, station="s"):
 
 GRIDS = st.sampled_from([0.1, 0.5, 1.0, 2.5, 7.3])
 
-COUNTERS = ("queued", "admitted", "dropped_gate", "emitted", "next_arrival")
+COUNTERS = ("queued", "stats.admitted", "stats.dropped_gate", "emitted", "next_arrival")
 
 
 def _state(station):
-    flows = [tuple(getattr(fl, k) for k in COUNTERS) for fl in station.flows]
+    flows = [tuple(attrgetter(*COUNTERS)(fl)) for fl in station.flows]
     return station.queued, station.next_t, flows
 
 
@@ -100,8 +104,8 @@ def test_pull_arrivals_agrees_with_the_per_arrival_loop(data, grid):
     flows = data.draw(flow_specs(grid, min_interval=1))
     spec = mac.StationSpec("s", 1, flows=flows, is_ap=data.draw(st.booleans()))
     params = mac.MacParams()
-    runs = mac._StationRt(spec, 0, params)
-    ref = mac._StationRt(spec, 0, params)
+    runs = mac._StationRt(spec, 0, params, mac.ChannelTrace(1, 1.0))
+    ref = mac._StationRt(spec, 0, params, mac.ChannelTrace(1, 1.0))
     t = 0.0
     for _ in range(data.draw(st.integers(1, 25))):
         # land on grid points (ties with arrivals) or between them
@@ -115,7 +119,7 @@ def test_pull_arrivals_agrees_with_the_per_arrival_loop(data, grid):
                 station.head = None
         assert _state(runs) == _state(ref)
     for fl in runs.flows:
-        assert fl.admitted + fl.dropped_gate == fl.emitted * fl.per_step
+        assert fl.stats.admitted + fl.stats.dropped_gate == fl.emitted * fl.spec.frames_per_burst
 
 
 @settings(SETTINGS, max_examples=40)
@@ -143,10 +147,11 @@ def test_a_flow_listed_first_goes_first_at_a_tie_on_the_pull_instant():
         mac.FlowSpec("j", "power_broadcast", interval_us=4.0, start_us=4.0, gate_threshold=3),
         mac.FlowSpec("b", "client_data", interval_us=2.0),
     )
-    station = mac._StationRt(mac.StationSpec("s", 1, flows=flows), 0, mac.MacParams())
+    station = mac._StationRt(mac.StationSpec("s", 1, flows=flows), 0, mac.MacParams(),
+                             mac.ChannelTrace(1, 1.0))
     station.pull_arrivals(4.0)
     j, b = station.flows
-    assert (j.admitted, j.dropped_gate, b.admitted, station.queued) == (1, 0, 3, 4)
+    assert (j.stats.admitted, j.stats.dropped_gate, b.stats.admitted, station.queued) == (1, 0, 3, 4)
 
 
 @pytest.mark.parametrize("frames, depth, threshold", [(1, 0, 5), (9, 3, 5), (4, 7, 5), (6, 2, None)])

@@ -394,7 +394,7 @@ def test_arrival_identity_holds_for_flows_losing_contention(seed, power_us, cbr_
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 def test_backoff_draw_is_the_randrange_stream(seed):
-    st = mac._StationRt(mac.StationSpec("s", 6), seed, mac.MacParams())
+    st = mac._StationRt(mac.StationSpec("s", 6), seed, mac.MacParams(), mac.ChannelTrace(6, 1.0))
     ref = random.Random(mac.station_seed(seed, "s"))
     order = random.Random(seed)
     cws = [(1 << k) - 1 for k in range(4, 11)]  # 15, 31, ..., 1023
