@@ -86,12 +86,6 @@ class StationConf:
     burst_off_ms: float = 0.0
     start_ms: float = 0.0
 
-    def burst_period_ms(self) -> float:
-        return self.burst_on_ms + self.burst_off_ms
-
-    def burst_frames(self) -> int:
-        return max(1, math.ceil(self.burst_bytes / 1500))
-
     def validate(self) -> None:
         if self.role not in ("client", "neighbor_ap"):
             raise ConfigError(f"station {self.station_id!r}: unknown role {self.role!r}")
@@ -501,10 +495,7 @@ class ReportSet:
             lines.append(f"power_dropped_ch{ch}={st.dropped_gate}")
         for hid in sorted(self.harvester_summary):
             for k, v in sorted(self.harvester_summary[hid].items()):
-                if isinstance(v, float):
-                    lines.append(f"harvester.{hid}.{k}={v:.6f}")
-                else:
-                    lines.append(f"harvester.{hid}.{k}={v}")
+                lines.append(f"harvester.{hid}.{k}={v:.6f}")
         return "\n".join(lines) + "\n"
 
     def trace_chunks(self) -> Iterator[str]:
@@ -576,8 +567,8 @@ def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
         # the burst's bytes all queue at the start of its on-window
         return mac.FlowSpec(
             name=name, kind=kind, rate_mbps=st.rate_mbps,
-            frames_per_burst=st.burst_frames(),
-            interval_us=st.burst_period_ms() * 1000.0,
+            frames_per_burst=max(1, math.ceil(st.burst_bytes / 1500)),
+            interval_us=(st.burst_on_ms + st.burst_off_ms) * 1000.0,
             start_us=st.start_ms * 1000.0,
         )
     raise ConfigError(f"station {st.station_id!r} has no traffic")
@@ -632,6 +623,7 @@ def run(sc: Scenario) -> ReportSet:
             occ_mean[ch] = sums[ch].payload_us / mac.window_length((0.0, window_us))
     cumulative_mean = sum_in_order(occ_mean.values())
 
+    flows = {f.name: f for s in specs for f in s.flows}
     throughput: dict[str, list[float]] = {}
     tput_mean: dict[str, float] = {}
     bursts: dict[str, list[float]] = {}
@@ -642,16 +634,13 @@ def run(sc: Scenario) -> ReportSet:
         throughput[st.station_id] = mac.bin_means(bits, tput_bin_us, window_us)
         tput_mean[st.station_id] = sum_in_order(bits) / window_us  # bits per us == Mbps
         if st.traffic == "burst":
+            fl = flows[st.station_id]
             bursts[st.station_id] = router.burst_completion_times_ms(
-                traces[st.channel], st.station_id, st.burst_period_ms() * 1000.0,
-                st.burst_frames(), st.start_ms * 1000.0,
+                traces[st.channel], fl.name, fl.interval_us, fl.frames_per_burst, fl.start_us,
             )
 
-    power_stats: dict[int, mac.FlowStats] = {}
-    for ch, tr in traces.items():
-        key = f"router_ch{ch}.power"
-        if key in tr.flow_stats:
-            power_stats[ch] = tr.flow_stats[key]
+    power_stats = {s.channel: traces[s.channel].flow_stats[f.name]
+                   for s in specs for f in s.flows if f.kind == "power_broadcast"}
 
     harv_events: dict[str, list[tuple[float, str, float]]] = {}
     harv_summary: dict[str, dict[str, float]] = {}

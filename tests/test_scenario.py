@@ -422,7 +422,7 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
                 continue
             assert (router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
                     == router.throughput_series(again, st.station_id, sc.throughput_bin_ms))
-            period_us = st.burst_period_ms() * 1000.0 or 10_000.0  # any flow will do
+            period_us = (st.burst_on_ms + st.burst_off_ms) * 1000.0 or 10_000.0  # any flow will do
             assert (router.burst_completion_times_ms(tr, st.station_id, period_us, 3)
                     == router.burst_completion_times_ms(again, st.station_id, period_us, 3))
 
