@@ -6,7 +6,7 @@ Subcommands:
   fcc <plan args>                  print a compliance report
   analyze <trace>                  occupancy of an exported trace file
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration or trace error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         raise AssertionError(args.command)
-    except (ConfigError, TraceFormatError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+    except TraceFormatError as exc:
+        sys.stderr.write(f"trace error: {exc}\n")
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

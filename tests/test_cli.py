@@ -140,6 +140,7 @@ def test_analyze_malformed_trace_exit(tmp_path, capsys):
     trace.write_text("bad line\n")
     rc = cli.main(["analyze", str(trace)])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("trace error: line 1: expected 7 fields")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -154,7 +155,7 @@ def test_analyze_non_finite_start_exit_2(tmp_path, capsys, text, line):
     trace = tmp_path / "t.txt"
     trace.write_text(text)
     assert cli.main(["analyze", str(trace)]) == 2
-    assert f"line {line}: start time" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"trace error: line {line}: start time")
 
 
 def test_sweep_subcommand(tmp_path, capsys):
