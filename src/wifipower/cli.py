@@ -6,7 +6,8 @@ Subcommands:
   fcc <plan args>                  print a compliance report
   analyze <trace>                  occupancy of an exported trace file
 
-Exit codes: 0 success, 2 configuration or trace error, 3 runtime error.
+Exit codes: 0 success, 2 configuration, trace or output-directory error,
+3 runtime error.
 """
 
 from __future__ import annotations
@@ -157,8 +158,12 @@ def main(argv=None) -> int:
     except TraceFormatError as exc:
         sys.stderr.write(f"trace error: {exc}\n")
         return EXIT_CONFIG
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except OSError as exc:
+        # reading an input raises one of the errors above, so a report write failed
+        sys.stderr.write(f"output error: {exc}\n")
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"runtime error: {exc}\n")

@@ -16,14 +16,21 @@ power-packet source hold a quiet channel near-continuously while still
 degrading gracefully to fair per-frame contention the moment any other
 station has traffic.
 
-The engine steps from one channel event to the next. Three shortcuts
-keep it cheap without changing any output. A station pulls its frame
-arrivals only while it has no frame in service (its queue depth cannot
-fall until it takes its next frame, so every gate decision comes out
-the same as at the arrival instant). A pull counts a run of one flow's
-arrivals in closed form, one pass per change of flow. And a backoff is
-drawn straight from the station's `getrandbits` with the rejection loop
-that `random.Random.randrange` runs, so the stream is bit-identical to
+The engine steps from one channel event to the next, and keeps each
+step cheap without changing any output. A round is one scan over the
+stations, the same code whether it opens the round or takes in a
+latecomer that arrives before the earliest backoff expiry. A station
+pulls its frame arrivals only while it has no frame in service (its
+queue depth cannot fall until it takes its next frame, so every gate
+decision comes out the same as at the arrival instant), and a pull
+counts a run of one flow's arrivals in closed form, one scan of the
+flows per change of flow. A broadcast burst is sent as a run: while
+its sender is the only station with a frame, one loop sends its frames
+back to back, each starting where the last one ended, with no rescan,
+until another station or another flow of the sender may have a frame,
+the queue empties or the window ends. And a backoff is drawn straight
+from the station's `getrandbits` with the rejection loop that
+`random.Random.randrange` runs, so the stream is bit-identical to
 `randrange(cw + 1)`.
 
 A trace is stored as columns. Each ChannelTrace holds an `array('d')`
@@ -96,6 +103,12 @@ class MacParams:
     retry_limit: int = 7
 
     def __post_init__(self) -> None:
+        # every frame must hold the channel for a positive time
+        for name in ("slot_us", "sifs_us", "phy_overhead_us", "ack_airtime_us"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if self.slot_us == 0.0:
+            raise ConfigError("slot_us must be > 0")
         if self.difs_us != self.sifs_us + 2 * self.slot_us:
             raise ConfigError("difs must equal sifs + 2*slot")
         for name, v in (("cw_min", self.cw_min), ("cw_max", self.cw_max)):
@@ -517,38 +530,34 @@ class _StationRt:
         The gate sees the station's total queue depth as it was at each
         arrival instant: the engine pulls only while the station is idle,
         and the depth cannot fall before it takes its next frame. Each
-        pass admits a run of the earliest flow's arrivals through
-        `gate_admits`. While the gate is open the run ends just before
-        any other flow's next arrival; once it is shut the run goes
-        through `up_to`, since nothing leaves the queue during a pull.
-        The run is counted by floor division, corrected against the
+        pass scans the flows once for the earliest arrival and the next
+        one after it, and admits a run of the earliest flow's arrivals
+        through `gate_admits`. While the gate is open the run ends just
+        before that next arrival; once it is shut the run goes through
+        `up_to`, since nothing leaves the queue during a pull. A pass in
+        which no other flow is due by `up_to` is the last. The run is
+        counted by floor division, corrected against the
         `start + k * step` expression that times each arrival.
         """
         flows = self.flows
         queued = self.queued
         while True:
-            best = flows[0]
-            t_next = best.next_arrival
+            t_next = t_second = math.inf
             for fl in flows:
-                if fl.next_arrival < t_next:
-                    best = fl
-                    t_next = fl.next_arrival
+                a = fl.next_arrival
+                if a < t_next:
+                    # the old earliest is listed first: it goes first at a tie
+                    t_second, second_first = t_next, True
+                    best, t_next = fl, a
+                elif a < t_second:
+                    t_second, second_first = a, False
             if t_next > up_to:
-                self.queued = queued
-                self.next_t = t_next
-                return
+                break
             spec = best.spec
             gate = spec.gate_threshold
             end = up_to
-            if gate_admits(queued, gate):
-                listed_before = True  # such a flow goes first at a tie
-                for fl in flows:
-                    if fl is best:
-                        listed_before = False
-                    elif fl.next_arrival <= end:
-                        end = fl.next_arrival
-                        if listed_before:
-                            end = math.nextafter(end, -math.inf)
+            if t_second <= up_to and gate_admits(queued, gate):
+                end = math.nextafter(t_second, -math.inf) if second_first else t_second
             start, step = spec.start_us, spec.interval_us
             last = int((end - start) // step)
             while start + (last + 1) * step <= end:
@@ -562,31 +571,12 @@ class _StationRt:
             best.stats.dropped_gate += frames - n
             queued += n
             best.emitted = last + 1
-            best.next_arrival = start + best.emitted * step
-
-    def take_head(self, t: float) -> None:
-        """Select the next frame to transmit, round-robin across flows.
-
-        Every queued frame arrived at or before `t` (arrivals are pulled
-        up to `t` first), so the frame is ready from `t` on.
-        """
-        flows = self.flows
-        n = len(flows)
-        i = self.rr
-        for _ in range(n):
-            fl = flows[i]
-            i += 1
-            if i == n:
-                i = 0
-            if fl.queued or fl.backlogged:
-                self.rr = i
-                if fl.queued:
-                    fl.queued -= 1
-                    self.queued -= 1
-                self.head = fl
-                self.ready_since = t
-                self.retries = 0
-                return
+            a = best.next_arrival = start + best.emitted * step
+            if t_second > up_to:
+                t_next = a if a < t_second else t_second
+                break
+        self.queued = queued
+        self.next_t = t_next
 
     def draw_backoff(self) -> int:
         """A uniform backoff in [0, cw] slots, drawn the way
@@ -600,34 +590,6 @@ class _StationRt:
         while r > cw:
             r = self.getrandbits(k)
         return r
-
-
-def _ready_at(
-    stations: list[_StationRt], t: float
-) -> tuple[list[_StationRt], float]:
-    """The stations with a frame to send at `t`, in station order, and
-    the earliest arrival at a station that stays idle (inf if none).
-
-    Only a station without a head pulls its arrivals due by `t` and
-    takes a head. A station with a frame in service keeps its queue
-    depth until it next takes a head (only `take_head` lowers it), so
-    its gate decides each pending arrival the same way whenever the
-    arrival is pulled before that point; its `next_t` goes stale
-    meanwhile and nothing reads it.
-    """
-    ready = []
-    t_arr = math.inf
-    for st in stations:
-        if st.head is None:
-            if st.next_t <= t:
-                st.pull_arrivals(t)
-            if not (st.queued or st.backlogged):
-                if st.next_t < t_arr:
-                    t_arr = st.next_t
-                continue
-            st.take_head(t)
-        ready.append(st)
-    return ready, t_arr
 
 
 def run_mac(
@@ -685,70 +647,132 @@ def _run_channel(
     append_code = trace.codes.append
     difs = params.difs_us
     slot = params.slot_us
+    cw_min = params.cw_min
     t = 0.0
     # the sender of the frame that just ended, if it was a delivered
     # broadcast: it may send its next broadcast back to back
     last_broadcaster: Optional[_StationRt] = None
 
     while t < duration_us:
-        ready, t_arr = _ready_at(stations, t)
+        # Scan at t_scan for the stations with a frame to send, in station
+        # order, and the earliest arrival at a station that stays idle.
+        # Only a station without a head pulls and takes a head; the
+        # `next_t` of one with a frame in service goes stale, unread. A
+        # latecomer that arrives before the earliest expiry is scanned in
+        # and joins with its own DIFS+backoff.
+        t_scan = t
+        t_win = math.inf  # stays inf when no contention round is fought
+        while True:
+            ready = []
+            t_arr = math.inf
+            for st in stations:
+                if st.head is None:
+                    if st.next_t <= t_scan:
+                        st.pull_arrivals(t_scan)
+                    if not (st.queued or st.backlogged):
+                        if st.next_t < t_arr:
+                            t_arr = st.next_t
+                        continue
+                    # the next frame, round-robin across flows
+                    flows = st.flows
+                    i = st.rr
+                    while True:
+                        fl = flows[i]
+                        i += 1
+                        if i == len(flows):
+                            i = 0
+                        if fl.queued:
+                            fl.queued -= 1
+                            st.queued -= 1
+                            break
+                        if fl.backlogged:
+                            break
+                    st.rr = i
+                    st.head = fl
+                    st.ready_since = t_scan
+                    st.retries = 0
+                ready.append(st)
+            if not ready or (
+                ready[0] is last_broadcaster and len(ready) == 1
+                and last_broadcaster.head.broadcast
+            ):
+                break
+            t_win = math.inf
+            for st in ready:
+                if st.backoff_slots is None:
+                    st.backoff_slots = st.draw_backoff()
+                origin = t if t >= st.ready_since else st.ready_since
+                e = st.expiry = origin + difs + st.backoff_slots * slot
+                if e < t_win:
+                    t_win = e
+                    winner = st
+                elif e == t_win:
+                    winner = None  # a collision
+            if t_arr < t_win and t_arr < duration_us:
+                t_scan = t_arr
+                continue
+            break
+
         if not ready:
             t = t_arr
             last_broadcaster = None
-            if t >= duration_us:
-                break
             continue
 
-        # Broadcast burst continuation: queued broadcasts drain back to
-        # back while nobody else wants the channel.
-        if len(ready) == 1 and ready[0] is last_broadcaster and ready[0].head.broadcast:
-            winners = ready
-            t_start = t
-        else:
-            # Contention round. Latecomers whose frames arrive before
-            # the earliest expiry join with their own DIFS+backoff.
-            while True:
-                t_win = math.inf
-                for st in ready:
-                    if st.backoff_slots is None:
-                        st.backoff_slots = st.draw_backoff()
-                    origin = t if t >= st.ready_since else st.ready_since
-                    e = st.expiry = origin + difs + st.backoff_slots * slot
-                    if e < t_win:
-                        t_win = e
-                if t_arr < t_win and t_arr < duration_us:
-                    ready, t_arr = _ready_at(stations, t_arr)
-                    continue
-                break
-            if t_win >= duration_us:
-                break
-            winners = []
-            for st in ready:
-                if st.expiry == t_win:
-                    winners.append(st)
-                else:
-                    # Losers freeze whatever whole slots they have not used.
-                    origin = t if t >= st.ready_since else st.ready_since
-                    consumed = int((t_win - origin - difs) / slot)
-                    if consumed > 0:
-                        left = st.backoff_slots - consumed
-                        st.backoff_slots = left if left > 0 else 0
-            t_start = t_win
-
-        collision = len(winners) > 1
-        busy_end = t_start
-        for st in winners:
+        if t_win == math.inf:
+            # A broadcast run (see the module docstring): arrivals are
+            # pulled at each frame start, as a rescan would pull them.
+            st = last_broadcaster
             fl = st.head
-            busy = fl.busy[collision]
-            append_start(t_start)
+            stop = t_arr if t_arr < duration_us else duration_us
+            for other in st.flows:
+                if other is not fl:
+                    if other.queued or other.backlogged:
+                        stop = t  # its frame may be next: send this one only
+                    elif other.next_arrival < stop:
+                        stop = other.next_arrival
+            code = fl.codes[0]
+            busy = fl.busy[0]
+            stats = fl.stats
+            while True:
+                append_start(t)
+                append_code(code)
+                stats.delivered += 1
+                t += busy
+                if t >= stop:
+                    break
+                if st.next_t <= t:
+                    st.pull_arrivals(t)
+                if fl.queued:
+                    fl.queued -= 1
+                    st.queued -= 1
+                elif not fl.backlogged:
+                    break
+            st.head = None
+            continue
+
+        if t_win >= duration_us:
+            break
+        collision = winner is None
+        busy_end = t_win
+        for st in ready:
+            if st.expiry != t_win:
+                # Losers freeze whatever whole slots they have not used.
+                origin = t if t >= st.ready_since else st.ready_since
+                consumed = int((t_win - origin - difs) / slot)
+                if consumed > 0:
+                    left = st.backoff_slots - consumed
+                    st.backoff_slots = left if left > 0 else 0
+                continue
+            fl = st.head
+            append_start(t_win)
             append_code(fl.codes[collision])
-            if t_start + busy > busy_end:
-                busy_end = t_start + busy
+            if t_win + fl.busy[collision] > busy_end:
+                busy_end = t_win + fl.busy[collision]
             st.backoff_slots = None
             if not collision:
                 fl.stats.delivered += 1
                 st.head = None
-                st.cw = params.cw_min
+                st.cw = cw_min
             elif fl.broadcast:
                 fl.stats.lost += 1
                 st.head = None
@@ -757,12 +781,11 @@ def _run_channel(
                 if st.retries > params.retry_limit:
                     fl.stats.lost += 1
                     st.head = None
-                    st.cw = params.cw_min
+                    st.cw = cw_min
                 else:
                     st.cw = min(2 * st.cw + 1, params.cw_max)
-
         t = busy_end
-        last_broadcaster = st if not collision and fl.broadcast else None
+        last_broadcaster = winner if fl.broadcast else None
 
     # Arrivals after the last event still count as offered. No frame can
     # leave a queue before the window ends, so the gate sees the final

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
-from .errors import ConfigError
+from .errors import ConfigError, TraceFormatError
 from .units import METERS_PER_FOOT, GainDbi, PowerDbm, sum_in_order
 
 DEFAULT_MAC_WINDOW_S = 60.0
@@ -841,7 +841,11 @@ def analyze_trace(
     # tail -> (channel, payload airtime, passes the station filter)
     tails: dict[str, tuple[int, float, bool]] = {}
     max_t = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             start, _, tail = raw.partition(",")
             known = tails.get(tail)

@@ -69,6 +69,19 @@ def reference_pull_arrivals(self, up_to):
         best.next_arrival = best.spec.start_us + best.emitted * best.spec.interval_us
 
 
+def take_head(station):
+    """Take the next frame round-robin across flows, as the engine does."""
+    flows = station.flows
+    for k in range(len(flows)):
+        fl = flows[(station.rr + k) % len(flows)]
+        if fl.queued or fl.backlogged:
+            station.rr = (station.rr + k + 1) % len(flows)
+            if fl.queued:
+                fl.queued -= 1
+                station.queued -= 1
+            return
+
+
 @st.composite
 def flow_specs(draw, grid, min_interval, station="s"):
     """Gated and ungated flows, bursts included, timed on a shared grid
@@ -115,8 +128,7 @@ def test_pull_arrivals_agrees_with_the_per_arrival_loop(data, grid):
         assert _state(runs) == _state(ref)
         for _ in range(data.draw(st.integers(0, 3))):
             for station in (runs, ref):
-                station.take_head(t)
-                station.head = None
+                take_head(station)
         assert _state(runs) == _state(ref)
     for fl in runs.flows:
         assert fl.stats.admitted + fl.stats.dropped_gate == fl.emitted * fl.spec.frames_per_burst
@@ -130,11 +142,20 @@ def test_engine_traces_agree_with_the_per_arrival_loop(data, grid, monkeypatch):
         for sid in ("s0", "s1", "s2")[:data.draw(st.integers(1, 3))]
     ]
     runs = mac.run_mac(stations, duration_us=20_000.0, seed=4)
+    calls = []
+
+    def counted_reference(self, up_to):
+        calls.append(up_to)
+        reference_pull_arrivals(self, up_to)
+
     with monkeypatch.context() as m:
-        m.setattr(mac._StationRt, "pull_arrivals", reference_pull_arrivals)
+        m.setattr(mac._StationRt, "pull_arrivals", counted_reference)
         # run_mac keeps its last result: clear it so the reference loop runs
         mac._simulate.cache_clear()
         ref = mac.run_mac(stations, duration_us=20_000.0, seed=4)
+    # s0's beacons arrive from 0 on, and every arrival is counted
+    # through pull_arrivals, so the reference must have run
+    assert calls
     assert mac.export_trace(runs.values()) == mac.export_trace(ref.values())
     assert ({ch: tr.flow_stats for ch, tr in runs.items()}
             == {ch: tr.flow_stats for ch, tr in ref.items()})

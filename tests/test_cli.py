@@ -97,6 +97,15 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("out_dir", ["", "a_file", "a_file/sub"])
+def test_unwritable_out_dir_exit_2(tmp_path, capsys, out_dir):
+    cfg = write_cfg(tmp_path, BASIC)
+    (tmp_path / "a_file").write_text("")
+    out = str(tmp_path / out_dir) if out_dir else out_dir
+    assert cli.main(["run", cfg, "--out-dir", out, "--duration", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
 def test_fcc_subcommand(capsys):
     rc = cli.main(["fcc", "--n-ant", "3", "--gain-dbi", "6", "--total-dbm", "30"])
     assert rc == 0
@@ -141,6 +150,16 @@ def test_analyze_malformed_trace_exit(tmp_path, capsys):
     rc = cli.main(["analyze", str(trace)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("trace error: line 1: expected 7 fields")
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "a_directory"])
+def test_analyze_unreadable_trace_exit_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    path = str(tmp_path / name)
+    assert cli.main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: cannot read trace file")
+    assert path in err
 
 
 @pytest.mark.parametrize("text, line", [

@@ -101,8 +101,11 @@ def test_a_field_without_a_reader_has_no_key():
     ("[harvester h2]\ndistance_ft = 3\ndistance_m = 1",
      "harvester 'h2': give distance_ft or distance_m, not both"),
     ("[mac]\nslot_us = 8", "difs must equal sifs + 2*slot"),
+    ("[mac]\nphy_overhead_us = -500", "phy_overhead_us must be finite and >= 0"),
+    ("[mac]\nslot_us = 0\nsifs_us = 28", "slot_us must be > 0"),
     ("[mac x]", "section [mac] takes no id"),
-], ids=["start_ms", "role", "kind", "two_distances", "mac", "mac_id"])
+], ids=["start_ms", "role", "kind", "two_distances", "mac", "mac_negative_phy",
+        "mac_zero_slot", "mac_id"])
 def test_section_errors_carry_the_header_line(section, message):
     header = MINIMAL.count("\n") + 2
     with pytest.raises(ConfigError) as exc:
