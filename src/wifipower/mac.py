@@ -103,7 +103,7 @@ class MacParams:
     retry_limit: int = 7
 
     def __post_init__(self) -> None:
-        # every frame must hold the channel for a positive time
+        # a frame holds the channel a positive time, and a freeze divides by the slot
         for name in ("slot_us", "sifs_us", "phy_overhead_us", "ack_airtime_us"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
