@@ -19,7 +19,6 @@ import sys
 
 from . import fcc, scenario
 from .errors import ConfigError, TraceFormatError
-from .units import GainDbi, PowerDbm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,13 +111,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fcc(args) -> int:
-    plan = fcc.TxPlan(
-        n_ant=args.n_ant,
-        g_ant=GainDbi(args.gain_dbi),
-        total_conducted=PowerDbm(args.total_dbm),
+    plan = scenario.RouterConf(
+        n_antennas=args.n_ant,
+        antenna_gain_dbi=args.gain_dbi,
+        tx_total_dbm=args.total_dbm,
         correlated=args.correlated,
         beamforming_efficiency=args.efficiency,
-    )
+    ).tx_plan()
     report = fcc.check_compliance(plan)
     sys.stdout.write(report.as_text() + "\n")
     return EXIT_OK
@@ -131,8 +130,8 @@ def _cmd_analyze(args) -> int:
             window = tuple(float(v) for v in args.window.split(","))
         except ValueError:
             window = ()
-        if len(window) != 2 or not all(map(math.isfinite, window)):
-            raise ConfigError("--window expects t0_us,t1_us as two finite numbers")
+        if len(window) != 2 or not all(map(math.isfinite, window)) or window[1] <= window[0]:
+            raise ConfigError("--window expects t0_us,t1_us as two finite numbers, t0 < t1")
     stations = None
     if args.stations:
         stations = [s.strip() for s in args.stations.split(",") if s.strip()]

@@ -9,10 +9,11 @@ firing at an activation voltage.
 Everything steps in closed form over intervals of constant incident
 power, so runs are exact and deterministic with no integration tick.
 Long runs over periodic power patterns jump every whole period before
-the next threshold crossing in closed form, which is what makes a 24
-hour harvester timeline cheap to simulate; the period that holds the
-crossing is walked by `_walk`, the one capacitor stepping kernel, which
-`step` calls too.
+the next threshold crossing in closed form, and take a booted sensor's
+fires as a train, one closed-form step per fire, which is what makes a
+24 hour harvester timeline cheap to simulate; any other period that
+holds a crossing is walked by `_walk`, the one capacitor stepping
+kernel, which `step` calls too.
 
 Calibration notice: the rectifier anchor powers, storage leakage, and
 converter quiescent draw are calibration parameters. The sensitivity
@@ -27,7 +28,9 @@ measurements.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import fcc, rf
@@ -421,8 +424,8 @@ def _charge_battery(
         n_fires = int(surplus / e_op)
         t_first = state.t_s + (e_op - state._fire_surplus_j) / net
         dt_fire = e_op / net
-        for i in range(n_fires):
-            state.log(t_first + i * dt_fire, "sensor_fire", store.voltage)
+        state.events.extend(
+            (t_first + i * dt_fire, "sensor_fire", store.voltage) for i in range(n_fires))
         state.consumed_j += n_fires * e_op
         state._fire_surplus_j = surplus - n_fires * e_op
         charge -= n_fires * e_op
@@ -578,23 +581,7 @@ def _walk(
 
 
 # ---------------------------------------------------------------------------
-# Multi-channel incident power
-
-
-def incident_power(
-    channel_busy: Sequence[bool], per_channel_rx: Sequence[PowerDbm]
-) -> PowerDbm:
-    """Linear sum of receive powers over the currently busy channels.
-
-    The harvester front end cannot tell channels apart; k equally strong
-    busy channels raise the incident power by exactly 10*log10(k) dB.
-    Returns -inf dBm (zero milliwatts) when nothing is transmitting.
-    """
-    if len(channel_busy) != len(per_channel_rx):
-        raise ValueError("busy flags and rx powers must align")
-    return mw_sum_dbm(
-        dbm_to_mw(p).value for busy, p in zip(channel_busy, per_channel_rx) if busy
-    )
+# Update rate
 
 
 def energy_neutral_update_rate(p_harvest_w: float, load: SensorLoad) -> float:
@@ -698,22 +685,32 @@ def run_envelope(
     here at the envelope's `mean_transfer_power_w` for the whole run:
     fires are evenly spaced at the mean net surplus.
 
-    The envelope phase is locked to absolute time zero. A capacitor run
-    works out each segment's `transfer_power_w` and the store's
-    `_store_levels` once, and everything it walks goes through `_walk`,
-    the kernel `step` uses too. A run that starts in mid-period first
-    walks to the next period boundary.
+    A capacitor run is phase-locked to absolute time zero. Its clock is
+    a whole period index k and a phase; `t_s = k * period + phase` is
+    worked out only where it walks, logs a fire or ends, so it does not
+    drift. Once per run it works out each segment's transfer watts, the
+    store's `_store_levels` and C, the period's cumulative net energy at
+    each segment edge. What it walks goes through `_walk`, the kernel
+    `step` uses too: a pending boot, and a start or a train's end in
+    mid-period, walk to the next boundary. From a boundary it takes:
 
-    From a boundary, whole periods with no threshold crossing are
-    jumped in closed form. With `prefix_max` and `prefix_min` the
-    highest and lowest net energy the store reaches within one period
-    and `d_period` its net change over one, period j (from 0) stays
-    clear while e + j*d_period + prefix_max stays below activation and
-    e + j*d_period + prefix_min above the cutoff (the floor before
-    boot). The jump takes every such period, up to the end of the run;
-    then the period with the crossing is walked exactly. A walked
-    period that changes nothing is a fixed point and is replicated to
-    the end. So runtime scales with the number of events (boots, fires,
+    - A fire train, for a booted store with a load, `d_period > 0` and
+      no way to reach the cutoff before its first fire (e + min(C)) or
+      after any (`e_act - e_op + min(C) - max(C)`). Each next fire is
+      the first instant the net energy gained reaches what the store
+      lacks of activation: whole periods by division, a bisection of
+      C's running maximum (or its suffix maximum, for a fire later in
+      the same period) and one linear solve. Each fire consumes `e_op`;
+      `harvested_j` and `leaked_j` are booked per whole period plus
+      prefix sums at the train's last fire.
+    - Else a jump over every whole period with no threshold crossing:
+      period j (from 0) stays clear while e + j*d_period + max(C) stays
+      below activation and e + j*d_period + min(C) above the cutoff
+      (the floor before boot).
+    - Else a walk of the period with the crossing. A walked period that
+      changes nothing is a fixed point, replicated to the end.
+
+    So runtime scales with the number of events (boots, fires,
     brown-outs), not with simulated time.
     """
     if state is None:
@@ -721,67 +718,115 @@ def run_envelope(
     if isinstance(cfg.storage, BatteryStore):
         _charge_battery(state, mean_transfer_power_w(segments, cfg), duration_s, cfg)
         return state
-    period = sum_in_order(dt for dt, _ in segments)
-    if period <= 0:
-        raise ValueError("envelope has zero duration")
-    end_t = state.t_s + duration_s
-
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
+    leak = store.leakage_w
     # (seconds, transfer watts) of each segment, worked out once per run
     walk = [(dt_s, transfer_power_w(p, cfg)) for dt_s, p in segments]
-    nets = [w - store.leakage_w for _, w in walk]
-    d_period = sum_in_order(n * s[0] for n, s in zip(nets, segments))
-    prefix = prefix_max = prefix_min = 0.0
-    for n, (dt_s, _) in zip(nets, segments):
-        prefix += n * dt_s
-        prefix_max = max(prefix_max, prefix)
-        prefix_min = min(prefix_min, prefix)
-    harvest_period = sum_in_order(w * dt_s for dt_s, w in walk)
+    nets = [w - leak for _, w in walk]
+    # phase, net energy C and harvested energy at each segment edge
+    edges = list(accumulate((dt_s for dt_s, _ in walk), initial=0.0))
+    cum = list(accumulate((n * dt_s for n, (dt_s, _) in zip(nets, walk)), initial=0.0))
+    harv = list(accumulate((w * dt_s for dt_s, w in walk), initial=0.0))
+    period, d_period, harvest_period = edges[-1], cum[-1], harv[-1]
+    if period <= 0:
+        raise ValueError("envelope has zero duration")
+    c_min, c_max = min(cum), max(cum)
+    run_max = list(accumulate(cum, max))
+    suffix_max = list(accumulate(reversed(cum), max))[::-1]
 
     levels = _store_levels(store)
     e_floor, e_cut, e_act = levels
     eps = 1e-18
+    e_op = cfg.load.e_op_j if cfg.load is not None else 0.0
+    trains = (cfg.load is not None and d_period > 0
+              and e_act - e_op + c_min - c_max > e_cut + eps)
+    v_fire = store.voltage(e_act - e_op)
+    events = state.events
 
-    offset = state.t_s % period
-    if offset and end_t - state.t_s > 1e-12:
-        # the jump's prefix bounds start at phase 0: reach a boundary first
-        _walk(state, cfg, walk, offset, min(period - offset, end_t - state.t_s), levels)
-    while end_t - state.t_s > 1e-12:
-        remaining = end_t - state.t_s
-        if remaining < period or state._pending_fire_t is not None:
-            _walk(state, cfg, walk, state.t_s % period, min(period, remaining), levels)
+    end_t = state.t_s + duration_s
+    k, phase = int(state.t_s // period), state.t_s % period
+    while True:
+        t = state.t_s = k * period + phase
+        remaining = end_t - t
+        if remaining <= 1e-12:
+            break
+        if phase or remaining < period or state._pending_fire_t is not None:
+            # the train and the jump start at phase 0: walk to a boundary
+            span = min(period - phase, remaining)
+            _walk(state, cfg, walk, phase, span, levels)
+            k, phase = (k + 1, 0.0) if span == period - phase else (k, phase + span)
             continue
         e = state.stored_j
+        if trains and state.booted and e + c_min > e_cut + eps and e < e_act:
+            # level: the C the next fire reaches, in period k's frame;
+            # s: the segment of the last fire
+            k0, level, s, fires = k, e_act - e, 0, 0
+            while True:
+                if level <= suffix_max[s + 1]:
+                    j, i = 0, s + 1
+                    while cum[i] < level:
+                        i += 1
+                else:
+                    # the fewest whole periods j >= 1 that bring level
+                    # down to C's maximum, so 0 < level <= max(C)
+                    j = math.ceil((level - c_max) / d_period)
+                    if j < 1:
+                        j = 1
+                    level -= j * d_period
+                    if level > c_max:
+                        j, level = j + 1, level - d_period
+                    elif j > 1 and level + d_period <= c_max:
+                        j, level = j - 1, level + d_period
+                    i = bisect_left(run_max, level)
+                x = edges[i - 1] + (level - cum[i - 1]) / nets[i - 1]
+                t = (k + j) * period + x
+                if t >= end_t:
+                    break
+                k, s = k + j, i - 1
+                events.append((t, "sensor_fire", v_fire))
+                fires += 1
+                phase = x
+                level += e_op
+            if fires:
+                state.stored_j = e_act - e_op
+                state.consumed_j += fires * e_op
+                state.harvested_j += (k - k0) * harvest_period + (
+                    harv[s] + walk[s][1] * (phase - edges[s]))
+                state.leaked_j += (k - k0) * (harvest_period - d_period) + leak * phase
+                if phase >= period:
+                    k, phase = k + 1, phase - period
+                continue
         low_bound = e_cut if state.booted else e_floor
-        if e + prefix_min > low_bound + eps and e + prefix_max < e_act - eps:
+        if e + c_min > low_bound + eps and e + c_max < e_act - eps:
             if d_period > 0:
-                room = (e_act - eps - prefix_max - e) / d_period
+                room = (e_act - eps - c_max - e) / d_period
             elif d_period < 0:
-                room = (e + prefix_min - low_bound - eps) / (-d_period)
+                room = (e + c_min - low_bound - eps) / (-d_period)
             else:
                 room = math.inf
             # period j is crossing-free while j < room: jump all of them
-            k = int(remaining / period)
-            if room < k:
-                k = math.ceil(room)
-            state.stored_j += k * d_period
-            state.harvested_j += k * harvest_period
-            state.leaked_j += k * (harvest_period - d_period)
-            state.t_s += k * period
+            n = int(remaining / period)
+            if room < n:
+                n = math.ceil(room)
+            state.stored_j += n * d_period
+            state.harvested_j += n * harvest_period
+            state.leaked_j += n * (harvest_period - d_period)
+            k += n
             continue
         # A crossing in this period, or pinned: walk it exactly, and if
         # the state comes back identical with no events, the run is in
         # a periodic fixed point and can be replicated to the end.
-        snap = (state.stored_j, state.booted, len(state.events))
+        snap = (state.stored_j, state.booted, len(events))
         h0, l0, c0 = state.harvested_j, state.leaked_j, state.curtailed_j
-        _walk(state, cfg, walk, state.t_s % period, period, levels)
-        if (state.stored_j, state.booted, len(state.events)) == snap:
-            reps = int((end_t - state.t_s) / period)
+        _walk(state, cfg, walk, 0.0, period, levels)
+        k += 1
+        if (state.stored_j, state.booted, len(events)) == snap:
+            reps = int((end_t - k * period) / period)
             if reps >= 1:
                 state.harvested_j += reps * (state.harvested_j - h0)
                 state.leaked_j += reps * (state.leaked_j - l0)
                 state.curtailed_j += reps * (state.curtailed_j - c0)
-                state.t_s += reps * period
+                k += reps
     return state
 
 

@@ -60,13 +60,17 @@ class RouterConf:
     queue_threshold: int = 5
 
     def tx_plan(self) -> fcc.TxPlan:
-        return fcc.TxPlan(
-            n_ant=self.n_antennas,
-            g_ant=GainDbi(self.antenna_gain_dbi),
-            total_conducted=PowerDbm(self.tx_total_dbm),
-            correlated=self.correlated,
-            beamforming_efficiency=self.beamforming_efficiency,
-        )
+        """The router's transmit plan; a bad number is a ConfigError."""
+        try:
+            return fcc.TxPlan(
+                n_ant=self.n_antennas,
+                g_ant=GainDbi(self.antenna_gain_dbi),
+                total_conducted=PowerDbm(self.tx_total_dbm),
+                correlated=self.correlated,
+                beamforming_efficiency=self.beamforming_efficiency,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"router transmit plan: {exc}") from None
 
     def station_ids(self) -> tuple[str, ...]:
         """The router's MAC station id on each of its channels."""
@@ -175,10 +179,7 @@ class Scenario:
                     f"{name} makes over {MAX_BINS} bins in the "
                     f"{window_ms / 1000.0} s MAC window"
                 )
-        try:
-            self.router.tx_plan()
-        except ValueError as exc:
-            raise ConfigError(f"router transmit plan: {exc}") from None
+        self.router.tx_plan()  # a bad plan raises ConfigError
         if not self.router.channels:
             raise ConfigError("router needs at least one channel")
         for ch in self.router.channels:
@@ -402,7 +403,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
     return parse_scenario(text)
 
@@ -842,34 +843,33 @@ def analyze_trace(
     tails: dict[str, tuple[int, float, bool]] = {}
     max_t = 0.0
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                start, _, tail = raw.partition(",")
+                known = tails.get(tail)
+                if known is not None:
+                    try:
+                        t_start = float(start)
+                    except ValueError:
+                        t_start = math.nan
+                    if not 0.0 <= t_start < inf:
+                        known = None
+                if known is None:
+                    fields = mac.parse_trace_line(raw, lineno)
+                    if fields is None:
+                        continue
+                    t_start, ch, station, _kind, size, rate, _outcome = fields
+                    known = tails[tail] = (
+                        ch, size * 8.0 / rate, keep is None or station in keep
+                    )
+                    totals.setdefault(ch, 0.0)
+                ch, payload, counted = known
+                if t_start + payload > max_t:
+                    max_t = t_start + payload
+                if counted and t0 <= t_start < t1:
+                    totals[ch] += payload
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            start, _, tail = raw.partition(",")
-            known = tails.get(tail)
-            if known is not None:
-                try:
-                    t_start = float(start)
-                except ValueError:
-                    t_start = math.nan
-                if not 0.0 <= t_start < inf:
-                    known = None
-            if known is None:
-                fields = mac.parse_trace_line(raw, lineno)
-                if fields is None:
-                    continue
-                t_start, ch, station, _kind, size, rate, _outcome = fields
-                known = tails[tail] = (
-                    ch, size * 8.0 / rate, keep is None or station in keep
-                )
-                totals.setdefault(ch, 0.0)
-            ch, payload, counted = known
-            if t_start + payload > max_t:
-                max_t = t_start + payload
-            if counted and t0 <= t_start < t1:
-                totals[ch] += payload
     result: dict = {"per_channel": {}, "cumulative": 0.0}
     if totals:
         length = mac.window_length(window_us if window_us is not None else (0.0, max_t))

