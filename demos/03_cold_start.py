@@ -30,8 +30,8 @@ def run_pattern(label, p_on: float, duty: float, seconds: float = 400.0):
         t += period
         if int(t / 20.0) != int((t - period) / 20.0):
             samples.append(state.v_store(cfg))
-    boots = state.count("boot")
-    fires = state.count("sensor_fire")
+    boots = state.counts["boot"]
+    fires = state.counts["sensor_fire"]
     print(f"\n{label}")
     print(f"  incident {p_on} dBm, duty {duty:.0%}; boots={boots} fires={fires}")
     bar = "".join("#" if v >= 2.3 else str(int(v * 4)) for v in samples)

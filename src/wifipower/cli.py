@@ -78,27 +78,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_values(var: str, raw: str) -> tuple:
-    vals = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if var == "wall_material":
-            vals.append(tok)
-        else:
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ConfigError(f"sweep value {tok!r} is not a number") from None
-    if not vals:
-        raise ConfigError("no sweep values given")
-    return tuple(vals)
-
-
 def _cmd_sweep(args) -> int:
     sc = _load(args)
-    spec = scenario.SweepSpec(args.var, _parse_sweep_values(args.var, args.values))
+    spec = scenario.SweepSpec(args.var, scenario.read_sweep_values(args.var, args.values))
     seeds = [sc.seed + i for i in range(max(1, args.seeds))]
     rows = scenario.sweep(sc, spec, seeds=seeds)
     csv_text = scenario.sweep_csv(rows)

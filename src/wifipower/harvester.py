@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -78,32 +79,25 @@ class RectifierCurve:
             p_in_w = 10.0 ** (x / 10.0) * 1e-3
             if y > p_in_w:
                 raise ValueError(f"anchor ({x} dBm, {y} W) implies efficiency > 1")
-
-    @property
-    def output_at_sensitivity_w(self) -> float:
-        return self.anchors[0][1]
+        # what `output_w` reads, worked out once per curve
+        object.__setattr__(self, "_xs", tuple(xs))
+        object.__setattr__(self, "_log_ys", tuple(map(math.log10, ys)))
+        object.__setattr__(self, "_tail_eff", ys[-1] / (10.0 ** (xs[-1] / 10.0) * 1e-3))
 
     def output_w(self, p_in: PowerDbm) -> float:
         """DC output power in watts for the given incident RF power."""
         x = p_in.value - self.matching_loss_db
         if x < self.sensitivity.value:
             return 0.0
-        xs = [a[0] for a in self.anchors]
-        ys = [a[1] for a in self.anchors]
+        xs, log_ys = self._xs, self._log_ys
         if x <= xs[0]:
-            return ys[0]
+            return self.anchors[0][1]
         if x >= xs[-1]:
             # constant-efficiency extrapolation past the last anchor
-            eff = ys[-1] / (10.0 ** (xs[-1] / 10.0) * 1e-3)
-            return eff * 10.0 ** (x / 10.0) * 1e-3
-        for i in range(len(xs) - 1):
-            if xs[i] <= x <= xs[i + 1]:
-                frac = (x - xs[i]) / (xs[i + 1] - xs[i])
-                logy = math.log10(ys[i]) + frac * (
-                    math.log10(ys[i + 1]) - math.log10(ys[i])
-                )
-                return 10.0 ** logy
-        raise AssertionError("unreachable")
+            return self._tail_eff * 10.0 ** (x / 10.0) * 1e-3
+        i = bisect_left(xs, x) - 1  # xs[i] < x <= xs[i + 1]
+        frac = (x - xs[i]) / (xs[i + 1] - xs[i])
+        return 10.0 ** (log_ys[i] + frac * (log_ys[i + 1] - log_ys[i]))
 
     def open_circuit_v(self, p_dc_w: float) -> float:
         """Rectifier open-circuit voltage, square-root in power.
@@ -114,7 +108,7 @@ class RectifierCurve:
         """
         if p_dc_w <= 0:
             return 0.0
-        return 0.300 * math.sqrt(p_dc_w / self.output_at_sensitivity_w)
+        return 0.300 * math.sqrt(p_dc_w / self.anchors[0][1])
 
 
 def rectifier_output(p_in: PowerDbm, curve: RectifierCurve) -> tuple[float, float]:
@@ -318,13 +312,14 @@ class HarvesterState:
         harvested = delta(stored) + consumed + leaked + curtailed
     where curtailed is input discarded while the store is pinned at its
     activation ceiling (only possible with no load attached) or a full
-    battery.
+    battery. `counts` counts each event kind as it is logged to `events`.
     """
 
     t_s: float = 0.0
     stored_j: float = 0.0
     booted: bool = False
     events: list[tuple[float, str, float]] = field(default_factory=list)
+    counts: Counter[str] = field(default_factory=Counter)
     harvested_j: float = 0.0
     leaked_j: float = 0.0
     consumed_j: float = 0.0
@@ -339,9 +334,7 @@ class HarvesterState:
 
     def log(self, t: float, event: str, v: float) -> None:
         self.events.append((t, event, v))
-
-    def count(self, event: str) -> int:
-        return sum(1 for _, e, _ in self.events if e == event)
+        self.counts[event] += 1
 
 
 def new_state(cfg: HarvesterConfig) -> HarvesterState:
@@ -426,6 +419,7 @@ def _charge_battery(
         dt_fire = e_op / net
         state.events.extend(
             (t_first + i * dt_fire, "sensor_fire", store.voltage) for i in range(n_fires))
+        state.counts["sensor_fire"] += n_fires
         state.consumed_j += n_fires * e_op
         state._fire_surplus_j = surplus - n_fires * e_op
         charge -= n_fires * e_op
@@ -600,49 +594,46 @@ Segment = tuple[float, PowerDbm]  # (duration in seconds, incident power)
 ENVELOPE_PERIOD_S = 0.010
 
 
-def duty_envelope(
-    channel_power: Sequence[tuple[PowerDbm, float]], period_s: float = ENVELOPE_PERIOD_S
-) -> list[Segment]:
-    """One period of incident power from per-channel (rx, duty) pairs.
-
-    Channel busy spans are staggered uniformly across the period. With
-    per-channel duty below 1/n the transmissions never overlap and the
-    harvester sees one channel at a time nearly continuously; high
-    per-channel duties force simultaneous spans whose powers add
-    linearly.
-    """
-    n = len(channel_power)
-    if n == 0:
+def envelope_geometry(
+    duties: Sequence[float], period_s: float = ENVELOPE_PERIOD_S
+) -> list[tuple[float, tuple[int, ...]]]:
+    """One period's segments as (seconds, indices of the channels on the
+    air, in channel order), from per-channel duties. Channel busy spans
+    are staggered uniformly across the period, and one past its end wraps
+    round to its start. With per-channel duty below 1/n they never
+    overlap; high per-channel duties force simultaneous spans."""
+    if not duties:
         raise ValueError("need at least one channel")
     if period_s <= 0:
         raise ValueError("period must be > 0")
     marks = {0.0, period_s}
-    spans: list[tuple[float, float, float]] = []  # start, end, rx_mw
-    for i, (rx, duty) in enumerate(channel_power):
+    spans = []  # channel index, start, end in the period, end past it (<= 0 if none)
+    for i, duty in enumerate(duties):
         if not (0.0 <= duty <= 1.0):
             raise ValueError(f"duty must be in [0, 1], got {duty}")
         if duty == 0.0:
             continue
-        start = (i * period_s / n) % period_s
-        length = duty * period_s
-        rx_mw = dbm_to_mw(rx).value
-        end = start + length
-        if end <= period_s:
-            spans.append((start, end, rx_mw))
-            marks.update((start, end))
-        else:
-            spans.append((start, period_s, rx_mw))
-            spans.append((0.0, end - period_s, rx_mw))
-            marks.update((start, end - period_s))
+        start = (i * period_s / len(duties)) % period_s
+        end = start + duty * period_s
+        spans.append((i, start, min(end, period_s), end - period_s))
+        marks.update((start, end % period_s))  # past the end, end - period_s exactly
     edges = sorted(marks)
-    segments: list[Segment] = []
+    geometry = []
     for a, b in zip(edges, edges[1:]):
-        if b - a <= 0:
-            continue
         mid = 0.5 * (a + b)
-        p = mw_sum_dbm(s_mw for s0, s1, s_mw in spans if s0 <= mid < s1)
-        segments.append((b - a, p))
-    return segments
+        on = tuple(i for i, s0, s1, wrap in spans if s0 <= mid < s1 or mid < wrap)
+        geometry.append((b - a, on))
+    return geometry
+
+
+def duty_envelope(
+    channel_power: Sequence[tuple[PowerDbm, float]], period_s: float = ENVELOPE_PERIOD_S
+) -> list[Segment]:
+    """One period of incident power from per-channel (rx, duty) pairs: each
+    segment of their `envelope_geometry` at its powers' `mw_sum_dbm`."""
+    rx_mw = [dbm_to_mw(rx).value for rx, _ in channel_power]
+    geometry = envelope_geometry([duty for _, duty in channel_power], period_s)
+    return [(dt_s, mw_sum_dbm(rx_mw[i] for i in on)) for dt_s, on in geometry]
 
 
 def link_envelope(
@@ -667,10 +658,7 @@ def mean_transfer_power_w(segments: Sequence[Segment], cfg: HarvesterConfig) -> 
     total_t = sum_in_order(dt for dt, _ in segments)
     if total_t <= 0:
         raise ValueError("envelope has zero duration")
-    acc = 0.0
-    for dt_s, p_in in segments:
-        acc += transfer_power_w(p_in, cfg) * dt_s
-    return acc / total_t
+    return sum_in_order(transfer_power_w(p_in, cfg) * dt_s for dt_s, p_in in segments) / total_t
 
 
 def run_envelope(
@@ -788,6 +776,7 @@ def run_envelope(
                 phase = x
                 level += e_op
             if fires:
+                state.counts["sensor_fire"] += fires
                 state.stored_j = e_act - e_op
                 state.consumed_j += fires * e_op
                 state.harvested_j += (k - k0) * harvest_period + (
@@ -853,23 +842,33 @@ def max_operating_range(
     then positive). Found by bisection on the envelope `scenario.run`
     drives a harvester with (`link_envelope`), at most 80 steps and
     none once the bounds are adjacent doubles; returns a zero Distance
-    when even point-blank operation is unsustainable.
+    when even point-blank operation is unsustainable. The distance does
+    not move the `envelope_geometry`, so it is built once; a step sums
+    the powers on it into its `mean_transfer_power_w`, float for float.
 
     `duty` is the per-channel busy fraction; `channels` is the set the
     harvester draws from, so a single-channel harvester passes one.
     """
-    eirp = fcc.plan_eirp(plan)
     if isinstance(cfg.storage, BatteryStore):
         draw_w = cfg.dcdc.quiescent_w  # type: ignore[union-attr]
     else:
         draw_w = cfg.storage.leakage_w
+    if duty <= 0.0:
+        return Distance(0.0)
+    eirp_dbm, g_rx_dbi, wall_db = fcc.plan_eirp(plan).value, g_rx.value, wall.attenuation_db
+    freqs = [rf.CHANNEL_FREQ_HZ[ch] for ch in channels]
+    geometry = envelope_geometry([duty] * len(freqs), ENVELOPE_PERIOD_S)
+    total_t = sum_in_order(dt_s for dt_s, _ in geometry)
 
     def sustainable(d_m: float) -> bool:
-        segs = link_envelope(eirp, g_rx, d_m, wall, [(ch, duty) for ch in channels])
-        return mean_transfer_power_w(segs, cfg) - draw_w > 0.0
+        rx_mw = [dbm_to_mw(PowerDbm(rf.received_dbm(eirp_dbm, g_rx_dbi, d_m, f_hz, wall_db)))
+                 .value for f_hz in freqs]
+        watts = {on: transfer_power_w(mw_sum_dbm(rx_mw[i] for i in on), cfg)
+                 for on in dict.fromkeys(on for _, on in geometry)}
+        return sum_in_order(watts[on] * dt_s for dt_s, on in geometry) / total_t - draw_w > 0.0
 
     lo, hi = rf.MIN_RANGE_M, 100.0
-    if duty <= 0.0 or not sustainable(lo):
+    if not sustainable(lo):
         return Distance(0.0)
     if sustainable(hi):
         return Distance(hi)

@@ -297,10 +297,16 @@ def bin_at(t: float, bin_us: float, window_us: float) -> tuple[int, float, float
     return i, i * bin_us, min((i + 1) * bin_us, window_us)
 
 
-def on_air_us(row: FrameRow, phy_overhead_us: float) -> float:
-    """A frame's time with its sender on the air: payload plus PHY, not
-    the SIFS/ACK tail of a delivered unicast, which the receiver sends."""
-    return min(row.busy_time_us, row.payload_airtime_us + phy_overhead_us)
+def on_air_us(trace: ChannelTrace, stations: Iterable[str], phy_overhead_us: float) -> float:
+    """On-air time of the frames `stations` sent (payload plus PHY, not a
+    delivered unicast's SIFS/ACK tail), added in frame order; others add 0.0."""
+    keep = set(stations)
+    air = [min(row.busy_time_us, row.payload_airtime_us + phy_overhead_us)
+           if row.station_id in keep else 0.0 for row in trace.rows]
+    on = 0.0
+    for c in trace.codes:
+        on += air[c]
+    return on
 
 
 class ChannelSums(NamedTuple):
@@ -331,20 +337,18 @@ def channel_sums(
     n_tput = bin_count(duration, throughput_bin_us)
     occ = [0.0] * (n_occ + 1)  # slot -1 takes the frames in no bin
     bits = {row.flow: [0.0] * (n_tput + 1) for row in trace.rows}
-    # per code: router payload (None for other stations), on-air time,
-    # and the bins of a delivered frame's flow (None if not delivered)
+    # per code: router payload (None for other stations), and the bins
+    # of a delivered frame's flow (None if not delivered)
     per_code = [
         (row.payload_airtime_us if row.station_id in keep else None,
-         on_air_us(row, phy_overhead_us), row.size_bytes * 8.0,
-         bits[row.flow] if row.outcome == "delivered" else None)
+         row.size_bytes * 8.0, bits[row.flow] if row.outcome == "delivered" else None)
         for row in trace.rows
     ]
-    payload = on = 0.0
+    payload = 0.0
     oi, olo, ohi = ti, tlo, thi = 0, 0.0, 0.0
     for t, c in zip(trace.starts, trace.codes):
-        v, air, b, series = per_code[c]
+        v, b, series = per_code[c]
         if v is not None:
-            on += air
             if 0.0 <= t < duration:
                 payload += v
             if not olo <= t < ohi:
@@ -354,7 +358,8 @@ def channel_sums(
             if not tlo <= t < thi:
                 ti, tlo, thi = bin_at(t, throughput_bin_us, duration)
             series[ti] += b
-    return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()}, on)
+    return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()},
+                       on_air_us(trace, keep, phy_overhead_us))
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,22 @@ def fspl_db(d: Distance, f: Frequency) -> float:
         raise ValueError(f"distance must be > 0 m, got {d.meters!r}")
     if f.hz <= 0:
         raise ValueError(f"frequency must be > 0 Hz, got {f.hz!r}")
-    return 20.0 * math.log10(_FOUR_PI * d.meters * f.hz / SPEED_OF_LIGHT)
+    return _fspl_db(d.meters, f.hz)
+
+
+def _fspl_db(d_m: float, f_hz: float) -> float:
+    return 20.0 * math.log10(_FOUR_PI * d_m * f_hz / SPEED_OF_LIGHT)
 
 
 def received_power(eirp: PowerDbm, g_rx: GainDbi, link: LinkGeometry) -> PowerDbm:
     """Link budget: EIRP - FSPL - wall attenuation + receive gain."""
-    loss = fspl_db(link.distance, link.freq) + link.wall.attenuation_db
-    return PowerDbm(eirp.value - loss + g_rx.value)
+    return PowerDbm(received_dbm(
+        eirp.value, g_rx.value, link.distance.meters, link.freq.hz, link.wall.attenuation_db))
+
+
+def received_dbm(eirp: float, g_rx: float, d_m: float, f_hz: float, wall_db: float) -> float:
+    """`received_power` in plain floats, on a link already checked."""
+    return eirp - (_fspl_db(d_m, f_hz) + wall_db) + g_rx
 
 
 def range_for_threshold(

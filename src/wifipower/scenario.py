@@ -32,14 +32,16 @@ DEFAULT_MAC_WINDOW_S = 60.0
 MAX_BINS = 10**6
 ENVELOPE_PERIOD_S = hv.ENVELOPE_PERIOD_S
 
-SWEEP_VARIABLES = (
-    "distance",
-    "inter_packet_delay",
-    "udp_target_rate",
-    "neighbor_rate",
-    "wall_material",
-    "neighbor_load",
-)
+#: Sweep variable -> the config section and key whose values it takes.
+_SWEEP_KEYS = {
+    "distance": ("harvester", "distance_ft"),
+    "inter_packet_delay": ("router", "power_delay_us"),
+    "udp_target_rate": ("station", "target_mbps"),
+    "neighbor_rate": ("station", "rate_mbps"),
+    "wall_material": ("harvester", "wall"),
+    "neighbor_load": ("station", "target_mbps"),  # a factor on udp_cbr neighbours' rate
+}
+SWEEP_VARIABLES = tuple(_SWEEP_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +598,9 @@ def occupancy_bins(
 def harvest_duty(
     trace: mac.ChannelTrace, router_ids: tuple[str, ...], phy_overhead_us: float
 ) -> float:
-    """Fraction of the window with router RF on the air: the `on_air_us`
-    of `mac.channel_sums` over the window, capped at 1, which is the
-    duty `run` drives the harvesters with."""
-    duration = trace.duration_us
-    sums = mac.channel_sums(trace, router_ids, duration, duration, phy_overhead_us)
-    return min(1.0, sums.on_air_us / duration)
+    """Fraction of the window with router RF on the air, capped at 1: the
+    duty `run` drives the harvesters with (`mac.on_air_us`)."""
+    return min(1.0, mac.on_air_us(trace, router_ids, phy_overhead_us) / trace.duration_us)
 
 
 def run(sc: Scenario) -> ReportSet:
@@ -655,14 +654,14 @@ def run(sc: Scenario) -> ReportSet:
             [(ch, duties.get(ch, 0.0)) for ch in h.channels],
         )
         state = hv.run_envelope(cfg, segments, sc.duration_s)
-        harv_events[h.harvester_id] = list(state.events)
+        harv_events[h.harvester_id] = state.events
         fires = [t for t, e, _ in state.events if e == "sensor_fire"]
         gaps = [b - a for a, b in zip(fires, fires[1:])]
         harv_summary[h.harvester_id] = {
-            "boots": float(state.count("boot")),
-            "fires": float(len(fires)),
-            "brown_outs": float(state.count("brown_out")),
-            "update_rate_hz": len(fires) / sc.duration_s,
+            "boots": float(state.counts["boot"]),
+            "fires": float(state.counts["sensor_fire"]),
+            "brown_outs": float(state.counts["brown_out"]),
+            "update_rate_hz": state.counts["sensor_fire"] / sc.duration_s,
             "mean_interval_s": (sum_in_order(gaps) / len(gaps)) if gaps else math.inf,
             "v_final": state.v_store(cfg),
             "harvested_j": state.harvested_j,
@@ -703,42 +702,48 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
 
 
+def read_sweep_values(variable: str, raw: str) -> tuple:
+    """Comma-separated sweep values, each read as the config key `variable`
+    stands for reads it, so it meets that key's rule; `run` validates the
+    scenario it goes into. A wall keeps the name the sweep CSV prints."""
+    section, key = _SWEEP_KEYS[variable]
+    values = []
+    for tok in filter(None, map(str.strip, raw.split(","))):
+        try:
+            value = _SECTION_KEYS[section][key](tok)
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {tok!r} for {variable}: {exc}") from None
+        values.append(tok if isinstance(value, rf.WallMaterial) else value)
+    return tuple(values)
+
+
 def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
     """A copy of the scenario with one swept variable replaced."""
     import copy
 
     out = copy.deepcopy(sc)
-    if variable == "distance":
-        if not out.harvesters:
-            raise ConfigError("distance sweep needs a harvester")
-        out.harvesters[0].distance_m = float(value) * METERS_PER_FOOT  # values in feet
-    elif variable == "inter_packet_delay":
-        out.router.power_delay_us = float(value)
-    elif variable == "udp_target_rate":
-        cbr = [s for s in out.stations if s.traffic == "udp_cbr" and s.role == "client"]
-        if not cbr:
-            raise ConfigError("udp_target_rate sweep needs a udp_cbr client")
-        cbr[0].target_mbps = float(value)
-    elif variable == "neighbor_rate":
-        found = False
-        for s in out.stations:
-            if s.role == "neighbor_ap":
-                s.rate_mbps = float(value)
-                found = True
-        if not found:
-            raise ConfigError("neighbor_rate sweep needs a neighbor_ap station")
-    elif variable == "wall_material":
-        if not out.harvesters:
-            raise ConfigError("wall_material sweep needs a harvester")
-        out.harvesters[0].wall = rf.WallMaterial(str(value))
-    elif variable == "neighbor_load":
-        found = False
-        for s in out.stations:
-            if s.role == "neighbor_ap" and s.traffic == "udp_cbr":
-                s.target_mbps *= float(value)
-                found = True
-        if not found:
-            raise ConfigError("neighbor_load sweep needs udp_cbr neighbors")
+    confs, needs = {
+        "distance": (out.harvesters[:1], "a harvester"),
+        "wall_material": (out.harvesters[:1], "a harvester"),
+        "inter_packet_delay": ([out.router], ""),
+        "udp_target_rate": ([s for s in out.stations if s.traffic == "udp_cbr"
+                             and s.role == "client"][:1], "a udp_cbr client"),
+        "neighbor_rate": ([s for s in out.stations if s.role == "neighbor_ap"],
+                          "a neighbor_ap station"),
+        "neighbor_load": ([s for s in out.stations if s.role == "neighbor_ap"
+                           and s.traffic == "udp_cbr"], "udp_cbr neighbors"),
+    }[variable]
+    if not confs:
+        raise ConfigError(f"{variable} sweep needs {needs}")
+    for conf in confs:
+        if variable == "distance":
+            conf.distance_m = float(value) * METERS_PER_FOOT  # values in feet
+        elif variable == "wall_material":
+            conf.wall = rf.WallMaterial(str(value))
+        elif variable == "neighbor_load":
+            conf.target_mbps *= float(value)
+        else:
+            setattr(conf, _SWEEP_KEYS[variable][1], float(value))
     return out
 
 

@@ -218,6 +218,23 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("var, values, message", [
+    ("distance", "4,nan", "sweep value 'nan' for distance: not a finite number"),
+    ("wall_material", "steel", "sweep value 'steel' for wall_material: 'steel' is not a valid"),
+    ("inter_packet_delay", "inf", "sweep value 'inf' for inter_packet_delay: not a finite"),
+], ids=["distance_nan", "wall_steel", "delay_inf"])
+def test_sweep_values_take_their_config_key_rule(tmp_path, capsys, var, values, message):
+    # each value is read as the config key it stands for, where a nan
+    # distance, an unknown wall or an infinite delay is a config error
+    out = tmp_path / "out"
+    cfg = scenario.bundled_config("temp_sensor_range.cfg")
+    rc = cli.main(["sweep", cfg, "--var", var, "--values", values, "--duration", "1",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("occupancy_bin_ms = 0", "occupancy_bin_ms must be finite and > 0"),
     ("throughput_bin_ms = -5", "throughput_bin_ms must be finite and > 0"),

@@ -6,6 +6,8 @@ the capacitor presets it must log the same events as stepping each
 segment of every period with the public `step`.
 """
 
+from collections import Counter
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wifipower import harvester as hv
@@ -36,6 +38,22 @@ def _stepped(cfg: hv.HarvesterConfig, segments, duration_s: float) -> hv.Harvest
             hv.step(state, p, tau, cfg)
             left -= tau
     return state
+
+
+@SETTINGS
+@given(preset=st.sampled_from(sorted(hv.PRESETS)), chans=channels,
+       durations=st.lists(st.floats(0.003, 30.0), min_size=1, max_size=3))
+def test_event_counts_equal_a_scan_of_the_events(preset, chans, durations):
+    # counted at every append: `log`, the fire train and the battery's
+    # run of fires; later runs resume mid-period from the state
+    cfg = hv.PRESETS[preset]()
+    segments = hv.duty_envelope([(PowerDbm(dbm), duty) for dbm, duty in chans])
+    state = None
+    for duration_s in durations:
+        state = hv.run_envelope(cfg, segments, duration_s, state)
+        assert state.counts == Counter(e for _, e, _ in state.events)
+    stepped = _stepped(cfg, segments, durations[0])
+    assert stepped.counts == Counter(e for _, e, _ in stepped.events)
 
 
 @SETTINGS

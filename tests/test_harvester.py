@@ -121,7 +121,7 @@ def test_boot_never_happens_below_leakage():
     )
     st = hv.new_state(cfg)
     hv.step(st, PowerDbm(-10.0), 86400.0, cfg)
-    assert st.count("boot") == 0
+    assert st.counts["boot"] == 0
     assert not st.booted
 
 
@@ -178,7 +178,7 @@ def test_energy_ledger_closes_on_the_battery_envelope_path(make):
     cfg = make()
     segs = hv.duty_envelope([(PowerDbm(-12.0), 0.9)] * 3, period_s=0.010)
     st = hv.run_envelope(cfg, segs, 3600.0)
-    assert st.count("sensor_fire") >= 1
+    assert st.counts["sensor_fire"] >= 1
     assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
     # resuming the same state, then stepping it, keeps the ledger closed
     hv.run_envelope(cfg, segs, 1234.5, state=st)
@@ -309,8 +309,8 @@ def test_run_envelope_matches_plain_stepping():
     for _ in range(int(120.0 / 0.010)):
         for dt, p in segs:
             hv.step(slow, p, dt, cfg)
-    assert fast.count("boot") == slow.count("boot")
-    assert fast.count("sensor_fire") == slow.count("sensor_fire")
+    assert fast.counts["boot"] == slow.counts["boot"]
+    assert fast.counts["sensor_fire"] == slow.counts["sensor_fire"]
     assert fast.stored_j == pytest.approx(slow.stored_j, rel=1e-6, abs=1e-12)
     assert fast.harvested_j == pytest.approx(slow.harvested_j, rel=1e-9)
 
@@ -473,11 +473,14 @@ def test_max_operating_range_stops_early_with_the_same_float(
     cfg = make()
     full = _full_bisection_m(cfg, duty, channels, wall)
     calls = []
-    envelope = hv.duty_envelope
-    monkeypatch.setattr(hv, "duty_envelope", lambda *a: calls.append(1) or envelope(*a))
+    kernel = rf.received_dbm
+    monkeypatch.setattr(rf, "received_dbm", lambda *a: calls.append(1) or kernel(*a))
     d = hv.max_operating_range(PLAN, cfg, duty=duty, channels=channels, wall=wall)
     assert d.meters == full
-    assert len(calls) < 82  # two end checks plus fewer than 80 steps
+    # each step works out each channel's received power once
+    steps, rest = divmod(len(calls), len(channels))
+    assert rest == 0
+    assert steps < 82  # two end checks plus fewer than 80 steps
 
 
 def test_max_operating_range_zero_duty_is_zero():
