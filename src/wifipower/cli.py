@@ -79,9 +79,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     sc = _load(args)
     spec = scenario.SweepSpec(args.var, scenario.read_sweep_values(args.var, args.values))
-    seeds = [sc.seed + i for i in range(max(1, args.seeds))]
+    seeds = [sc.seed + i for i in range(args.seeds)]
     rows = scenario.sweep(sc, spec, seeds=seeds)
     csv_text = scenario.sweep_csv(rows)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -41,11 +41,13 @@ trace as the engine builds it (`_FlowRt`, from the flow's spec), and
 the loop appends just a start time and a code per frame: on the first
 seed-1 `home-contended` benchmark input that is
 13.0 bytes of heap per frame, down from 143.2 for the list of
-FrameRecords it replaces (`mac.heap_bytes_per_frame`). The metrics and
-the trace export look values up once per code and then walk the two
-columns; `ChannelTrace.records` still reads the frames as FrameRecords,
-built one at a time. A flow's counters live only in the FlowStats that
-its trace reports, and the engine counts into it.
+FrameRecords it replaces (`mac.heap_bytes_per_frame`). The engine and
+`parse_trace` fill a trace one way, a `code` per row and an `append` per
+frame. The metrics look values up once per code and walk the two
+columns, and the export formats one line tail per row
+(`format_trace_tail`). `ChannelTrace.records` reads the frames back as
+FrameRecords, built one at a time. A flow's counters live only in the
+FlowStats that its trace reports, and the engine counts into it.
 
 `run_mac` keeps the traces of its last distinct input, so a sweep whose
 variable leaves the MAC input unchanged simulates it once per seed.
@@ -172,15 +174,14 @@ class ChannelTrace:
     of a FrameRecord and its list slot (~143 bytes). Start times are
     kept as doubles, and rows that compare equal share a code.
 
-    `records`, given to the constructor, is appended frame by frame;
-    the `records` attribute reads the frames back as FrameRecords.
+    A trace starts empty; `code` registers a row and `append` adds a
+    frame. `records` reads the frames back as FrameRecords.
     """
 
     def __init__(
         self,
         channel: int,
         duration_us: float,
-        records: Iterable[FrameRecord] = (),
         flow_stats: Optional[dict[str, FlowStats]] = None,
     ):
         self.channel = channel
@@ -190,11 +191,6 @@ class ChannelTrace:
         self.codes = array("I")  # one code per frame fits even if every row differs
         self.rows: list[FrameRow] = []
         self._code_of: dict[FrameRow, int] = {}
-        for r in records:
-            self.append(r.t_start_us, self.code(FrameRow(
-                r.channel, r.station_id, r.kind, r.size_bytes, r.rate_mbps,
-                r.outcome, r.payload_airtime_us, r.busy_time_us, r.flow,
-            )))
 
     def code(self, row: FrameRow) -> int:
         """The code of `row`, registered on first sight."""
@@ -315,17 +311,16 @@ class ChannelSums(NamedTuple):
     occupancy_us: list[float]  # router payload airtime per occupancy bin
     payload_us: float  # router payload airtime over 0 <= t < duration
     bits: dict[str, list[float]]  # flow -> delivered payload bits per throughput bin
-    on_air_us: float  # router on-air time
 
 
 def channel_sums(
     trace: ChannelTrace, stations: Iterable[str], occupancy_bin_us: float,
-    throughput_bin_us: float, phy_overhead_us: float = 24.0,
+    throughput_bin_us: float,
 ) -> ChannelSums:
     """Every report sum of one channel, in one pass over its frames.
 
-    The frames of `stations` (the router's) make the occupancy sums and
-    the on-air time, and each flow's delivered frames make its bits.
+    The frames of `stations` (the router's) make the occupancy sums, and
+    each flow's delivered frames make its bits.
     Every sum adds in frame order, so a bin's sum over its length is
     `occupancy` of its window, float for float. Frames in start-time
     order mostly share the previous frame's bins, so those are tried
@@ -358,8 +353,7 @@ def channel_sums(
             if not tlo <= t < thi:
                 ti, tlo, thi = bin_at(t, throughput_bin_us, duration)
             series[ti] += b
-    return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()},
-                       on_air_us(trace, keep, phy_overhead_us))
+    return ChannelSums(occ[:-1], payload, {f: b[:-1] for f, b in bits.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -805,11 +799,11 @@ def _run_channel(
 # Trace export / import
 
 
-def format_trace_line(r: FrameRecord) -> str:
-    rate = f"{r.rate_mbps:g}"
+def format_trace_tail(row: FrameRow) -> str:
+    """Everything of a trace line after its `repr(t_start_us)`."""
     return (
-        f"{r.t_start_us!r},{r.channel},{r.station_id},{r.kind},"
-        f"{r.size_bytes},{rate},{r.outcome}"
+        f",{row.channel},{row.station_id},{row.kind},"
+        f"{row.size_bytes},{row.rate_mbps:g},{row.outcome}"
     )
 
 
@@ -817,16 +811,12 @@ def export_trace(traces: Iterable[ChannelTrace]) -> str:
     """Line-per-record text form, ordered by channel then start time.
 
     A line is `repr(t_start_us)` followed by a tail that depends only on
-    the frame's code, so each trace cuts one tail per row from
-    `format_trace_line` and then joins start reprs with tails.
+    the frame's code, so each trace formats one tail per row and then
+    joins start reprs with tails.
     """
-    placeholder = repr(0.0)
     parts: list[str] = []
     for tr in sorted(traces, key=lambda x: x.channel):
-        tails = [
-            format_trace_line(FrameRecord(0.0, *row))[len(placeholder):] + "\n"
-            for row in tr.rows
-        ]
+        tails = [format_trace_tail(row) + "\n" for row in tr.rows]
         lines = [""] * (2 * len(tr.starts))
         lines[::2] = map(repr, tr.starts)
         lines[1::2] = map(tails.__getitem__, tr.codes)

@@ -32,16 +32,27 @@ DEFAULT_MAC_WINDOW_S = 60.0
 MAX_BINS = 10**6
 ENVELOPE_PERIOD_S = hv.ENVELOPE_PERIOD_S
 
-#: Sweep variable -> the config section and key whose values it takes.
-_SWEEP_KEYS = {
-    "distance": ("harvester", "distance_ft"),
-    "inter_packet_delay": ("router", "power_delay_us"),
-    "udp_target_rate": ("station", "target_mbps"),
-    "neighbor_rate": ("station", "rate_mbps"),
-    "wall_material": ("harvester", "wall"),
-    "neighbor_load": ("station", "target_mbps"),  # a factor on udp_cbr neighbours' rate
+#: Sweep variable -> the config section and key whose values it takes,
+#: the confs of a scenario it sets, and what a scenario needs to have one.
+_SWEEPS = {
+    "distance": ("harvester", "distance_ft", lambda sc: sc.harvesters[:1], "a harvester"),
+    "inter_packet_delay": ("router", "power_delay_us", lambda sc: [sc.router], ""),
+    "udp_target_rate": (
+        "station", "target_mbps",
+        lambda sc: [s for s in sc.stations if s.traffic == "udp_cbr" and s.role == "client"][:1],
+        "a udp_cbr client"),
+    "neighbor_rate": (
+        "station", "rate_mbps",
+        lambda sc: [s for s in sc.stations if s.role == "neighbor_ap"],
+        "a neighbor_ap station"),
+    "wall_material": ("harvester", "wall", lambda sc: sc.harvesters[:1], "a harvester"),
+    # a factor on udp_cbr neighbours' rate
+    "neighbor_load": (
+        "station", "target_mbps",
+        lambda sc: [s for s in sc.stations if s.role == "neighbor_ap" and s.traffic == "udp_cbr"],
+        "udp_cbr neighbors"),
 }
-SWEEP_VARIABLES = tuple(_SWEEP_KEYS)
+SWEEP_VARIABLES = tuple(_SWEEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +185,9 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        # past ~2**52 envelope periods, consecutive period starts stop being distinct
+        if self.duration_s / ENVELOPE_PERIOD_S >= 2**52:
+            raise ConfigError(f"duration_s makes over 2**52 periods of {ENVELOPE_PERIOD_S} s")
         window_ms = self.effective_mac_window_s() * 1000.0
         for name in ("occupancy_bin_ms", "throughput_bin_ms"):
             if window_ms / getattr(self, name) > MAX_BINS:
@@ -611,8 +625,7 @@ def run(sc: Scenario) -> ReportSet:
     traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
     occ_bin_us = sc.occupancy_bin_ms * 1000.0
     tput_bin_us = sc.throughput_bin_ms * 1000.0
-    phy_us = sc.mac_params.phy_overhead_us
-    sums = {ch: mac.channel_sums(tr, router_ids, occ_bin_us, tput_bin_us, phy_us)
+    sums = {ch: mac.channel_sums(tr, router_ids, occ_bin_us, tput_bin_us)
             for ch, tr in traces.items()}
 
     occ_bins: dict[int, list[float]] = {}
@@ -645,7 +658,9 @@ def run(sc: Scenario) -> ReportSet:
     harv_events: dict[str, list[tuple[float, str, float]]] = {}
     harv_summary: dict[str, dict[str, float]] = {}
     eirp = fcc.plan_eirp(sc.router.tx_plan())
-    duties = {ch: min(1.0, sums[ch].on_air_us / tr.duration_us) for ch, tr in traces.items()}
+    heard = sorted({ch for h in sc.harvesters for ch in h.channels if ch in traces})
+    duties = {ch: harvest_duty(traces[ch], router_ids, sc.mac_params.phy_overhead_us)
+              for ch in heard}
     for h in sc.harvesters:
         cfg = h.config()
         # a channel the router does not serve is silent
@@ -706,7 +721,7 @@ def read_sweep_values(variable: str, raw: str) -> tuple:
     """Comma-separated sweep values, each read as the config key `variable`
     stands for reads it, so it meets that key's rule; `run` validates the
     scenario it goes into. A wall keeps the name the sweep CSV prints."""
-    section, key = _SWEEP_KEYS[variable]
+    section, key, _, _ = _SWEEPS[variable]
     values = []
     for tok in filter(None, map(str.strip, raw.split(","))):
         try:
@@ -722,17 +737,8 @@ def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
     import copy
 
     out = copy.deepcopy(sc)
-    confs, needs = {
-        "distance": (out.harvesters[:1], "a harvester"),
-        "wall_material": (out.harvesters[:1], "a harvester"),
-        "inter_packet_delay": ([out.router], ""),
-        "udp_target_rate": ([s for s in out.stations if s.traffic == "udp_cbr"
-                             and s.role == "client"][:1], "a udp_cbr client"),
-        "neighbor_rate": ([s for s in out.stations if s.role == "neighbor_ap"],
-                          "a neighbor_ap station"),
-        "neighbor_load": ([s for s in out.stations if s.role == "neighbor_ap"
-                           and s.traffic == "udp_cbr"], "udp_cbr neighbors"),
-    }[variable]
+    _, key, targets, needs = _SWEEPS[variable]
+    confs = targets(out)
     if not confs:
         raise ConfigError(f"{variable} sweep needs {needs}")
     for conf in confs:
@@ -743,7 +749,7 @@ def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
         elif variable == "neighbor_load":
             conf.target_mbps *= float(value)
         else:
-            setattr(conf, _SWEEP_KEYS[variable][1], float(value))
+            setattr(conf, key, float(value))
     return out
 
 

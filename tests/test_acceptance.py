@@ -16,6 +16,8 @@ import pytest
 from wifipower import fcc, harvester as hv, mac, rf, router, scenario
 from wifipower.units import Distance, Frequency, GainDbi, PowerDbm
 
+from trace_helpers import trace_of
+
 SEEDS = (101, 211, 307, 401, 503)
 
 
@@ -59,7 +61,7 @@ def test_c01_occupancy_matches_busy_counter_oracle():
                 payload_airtime_us=airtime, busy_time_us=airtime, flow="f",
             ))
             t += airtime + rng.randrange(1, 300)
-        trace = mac.ChannelTrace(6, float(duration), records)
+        trace = trace_of(6, float(duration), records)
         occ = mac.occupancy(trace, (0.0, float(duration)))
         busy = np.zeros(duration, dtype=np.uint8)
         for r in records:

@@ -235,6 +235,17 @@ def test_sweep_values_take_their_config_key_rule(tmp_path, capsys, var, values, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_needs_at_least_one_seed(tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", write_cfg(tmp_path, BASIC), "--var", "inter_packet_delay",
+                   "--values", "100", "--seeds", seeds, "--duration", "1",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert f"config error: --seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("occupancy_bin_ms = 0", "occupancy_bin_ms must be finite and > 0"),
     ("throughput_bin_ms = -5", "throughput_bin_ms must be finite and > 0"),
@@ -256,6 +267,16 @@ def test_non_finite_duration_override_exit_2(tmp_path, capsys):
     rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x"), "--duration", "nan"])
     assert rc == 2
     assert "duration_s must be finite and > 0" in capsys.readouterr().err
+
+
+def test_duration_override_past_2_52_envelope_periods_exit_2(tmp_path, capsys):
+    # a config without a harvester, which would run its MAC window and exit 0
+    out = tmp_path / "x"
+    rc = cli.main(["run", scenario.bundled_config("delay_sweep.cfg"), "--duration", "1e300",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert "config error: duration_s makes over 2**52 periods" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_duration_override_past_a_million_bins_rejected(tmp_path):

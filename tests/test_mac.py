@@ -8,6 +8,8 @@ import pytest
 from wifipower import mac, router
 from wifipower.errors import ConfigError, TraceFormatError
 
+from trace_helpers import trace_of
+
 
 def make_random_trace(rng: random.Random, duration_us: int = 50_000) -> mac.ChannelTrace:
     """Non-overlapping frames with exact integer microsecond airtimes."""
@@ -34,7 +36,7 @@ def make_random_trace(rng: random.Random, duration_us: int = 50_000) -> mac.Chan
             )
         )
         t += airtime + rng.randrange(1, 400)
-    return mac.ChannelTrace(channel=6, duration_us=float(duration_us), records=records)
+    return trace_of(6, float(duration_us), records)
 
 
 def brute_force_busy_fraction(trace: mac.ChannelTrace) -> float:
@@ -58,7 +60,7 @@ def test_payload_airtime_values():
 
 
 def test_occupancy_single_frame():
-    tr = mac.ChannelTrace(6, 1_000_000.0, [
+    tr = trace_of(6, 1_000_000.0, [
         mac.FrameRecord(100.0, 6, "r", "power_broadcast", 1500, 54.0,
                         "delivered", 12000.0 / 54.0, 12000.0 / 54.0 + 24.0, "f")
     ])
@@ -66,7 +68,7 @@ def test_occupancy_single_frame():
 
 
 def test_occupancy_empty_trace_and_window_validation():
-    tr = mac.ChannelTrace(6, 1_000_000.0, [])
+    tr = mac.ChannelTrace(6, 1_000_000.0)
     assert mac.occupancy(tr, (0.0, 1_000_000.0)) == 0.0
     with pytest.raises(ConfigError):
         mac.occupancy(tr, (10.0, 10.0))
@@ -75,7 +77,7 @@ def test_occupancy_empty_trace_and_window_validation():
 def test_occupancy_counts_frames_starting_in_window():
     rec = mac.FrameRecord(499_999.0, 6, "r", "power_broadcast", 1500, 54.0,
                           "delivered", 12000.0 / 54.0, 246.0, "f")
-    tr = mac.ChannelTrace(6, 1_000_000.0, [rec])
+    tr = trace_of(6, 1_000_000.0, [rec])
     assert mac.occupancy(tr, (0.0, 500_000.0)) > 0
     assert mac.occupancy(tr, (500_000.0, 1_000_000.0)) == 0.0
 
@@ -454,7 +456,8 @@ def test_trace_round_trip():
 
 
 def formatted_one_by_one(traces) -> str:
-    lines = [mac.format_trace_line(r)
+    lines = [f"{r.t_start_us!r},{r.channel},{r.station_id},{r.kind},"
+             f"{r.size_bytes},{r.rate_mbps:g},{r.outcome}"
              for tr in sorted(traces, key=lambda x: x.channel) for r in tr.records]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -514,7 +517,7 @@ def test_records_view_rebuilds_each_record():
         mac.FrameRecord(3000.0, 6, "b", "client_data", 1500, 54.0, "collided", 1.5, 2.5),
         mac.FrameRecord(3100.0, 6, "a", "beacon", 300, 1.0, "delivered", 2400.0, 2424.0, "a.beacon"),
     ]
-    tr = mac.ChannelTrace(6, 5000.0, recs)
+    tr = trace_of(6, 5000.0, recs)
     assert len(tr.records) == 3
     assert list(tr.records) == recs
     assert len(tr.rows) == 2 and list(tr.codes) == [0, 1, 0]

@@ -3,6 +3,8 @@ import pytest
 from wifipower import mac, router
 from wifipower.errors import ConfigError
 
+from trace_helpers import trace_of
+
 
 def scheme_flow(name, delay_us=100.0, size_bytes=1500, queue_threshold=5, rate=None):
     return router.power_flow(router.Scheme(name, equal_share_rate_mbps=rate), "r",
@@ -58,7 +60,7 @@ def test_equal_share_without_rate_is_an_error():
 def test_throughput_series_single_frame():
     rec = mac.FrameRecord(1000.0, 1, "r", "client_data", 1500, 54.0,
                           "delivered", 12000.0 / 54.0, 300.0, "iperf")
-    tr = mac.ChannelTrace(1, 500_000.0, [rec])
+    tr = trace_of(1, 500_000.0, [rec])
     series = router.throughput_series(tr, "iperf", bin_ms=500.0)
     assert len(series) == 1
     assert series[0] == pytest.approx(0.024)
@@ -68,12 +70,12 @@ def test_throughput_series_tail_bin_reads_its_length_in_the_window():
     # 750 ms in 500 ms bins: a second bin of 250 ms holds the tail
     rec = mac.FrameRecord(600_000.0, 1, "r", "client_data", 1500, 54.0,
                           "delivered", 12000.0 / 54.0, 300.0, "iperf")
-    tr = mac.ChannelTrace(1, 750_000.0, [rec])
+    tr = trace_of(1, 750_000.0, [rec])
     assert router.throughput_series(tr, "iperf", bin_ms=500.0) == [0.0, 12000.0 / 250_000.0]
 
 
 def test_throughput_series_empty():
-    tr = mac.ChannelTrace(1, 1_000_000.0, [])
+    tr = mac.ChannelTrace(1, 1_000_000.0)
     assert router.throughput_series(tr, "iperf") == [0.0, 0.0]
 
 
@@ -84,7 +86,7 @@ def test_throughput_series_excludes_collided_and_other_flows():
         mac.FrameRecord(500.0, 1, "r", "client_data", 1500, 54.0,
                         "delivered", 222.2, 300.0, "other"),
     ]
-    tr = mac.ChannelTrace(1, 500_000.0, recs)
+    tr = trace_of(1, 500_000.0, recs)
     assert router.throughput_series(tr, "iperf") == [0.0]
 
 

@@ -7,6 +7,8 @@ import pytest
 from wifipower import mac, rf, router, scenario
 from wifipower.errors import ConfigError, TraceFormatError
 
+from trace_helpers import trace_of
+
 MINIMAL = """
 duration_s = 5
 seed = 3
@@ -225,8 +227,8 @@ def test_streamed_analysis_equals_parsed_occupancy(config, tmp_path):
             want = {}
             for ch, tr in parsed.items():
                 if keep is not None:
-                    tr = mac.ChannelTrace(ch, tr.duration_us,
-                                          [r for r in tr.records if r.station_id in keep])
+                    tr = trace_of(ch, tr.duration_us,
+                                  [r for r in tr.records if r.station_id in keep])
                 want[ch] = mac.occupancy(tr, window or (0.0, tr.duration_us))
             res = scenario.analyze_trace(path, window_us=window, stations=stations)
             assert res["per_channel"] == want
@@ -356,11 +358,11 @@ def test_occupancy_bins_equal_per_bin_occupancy(bin_ms):
                         1.0 + 0.37 * k, 0.0)
         for k, t in enumerate(starts)
     ]
-    trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
+    trace = trace_of(6, duration_us, records)
     assert scenario.occupancy_bins(trace, bin_ms)[:2] == _binned_reference(trace, bin_ms)
     # in start-time order, as the engine records them
     records.sort(key=lambda r: (math.isnan(r.t_start_us), r.t_start_us))
-    trace = mac.ChannelTrace(channel=6, duration_us=duration_us, records=records)
+    trace = trace_of(6, duration_us, records)
     assert scenario.occupancy_bins(trace, bin_ms)[:2] == _binned_reference(trace, bin_ms)
 
 
@@ -368,7 +370,7 @@ def test_throughput_and_occupancy_bins_place_a_frame_alike():
     # at 0.3333 ms, int(1666.5 // 333.3) is 4 but 5 * 333.3 == 1666.5
     rec = mac.FrameRecord(1666.5, 6, "r", "client_data", 1500, 54.0,
                           "delivered", 12000.0 / 54.0, 300.0, "f")
-    trace = mac.ChannelTrace(channel=6, duration_us=3000.0, records=[rec])
+    trace = trace_of(6, 3000.0, [rec])
     tput = router.throughput_series(trace, "f", 0.3333)
     _, occ = scenario.occupancy_bins(trace, 0.3333)[:2]
     assert [i for i, v in enumerate(tput) if v] == [5]
@@ -379,7 +381,7 @@ def test_occupancy_bins_window_shorter_than_a_bin():
     # one bin, cut at the window end: the frames past it are in no bin
     records = [mac.FrameRecord(t, 1, "r", "beacon", 300, 1.0, "delivered", 2400.0, 0.0)
                for t in (0.0, 900.0, 1500.0, 2000.0)]
-    trace = mac.ChannelTrace(channel=1, duration_us=1000.0, records=records)
+    trace = trace_of(1, 1000.0, records)
     assert scenario.occupancy_bins(trace, 2.0)[:2] == _binned_reference(trace, 2.0)
     assert scenario.occupancy_bins(trace, 2.0)[1] == [2 * 2400.0 / 1000.0]
 
@@ -391,8 +393,8 @@ def test_occupancy_bins_of_bundled_runs_equal_per_bin_occupancy():
     rep = scenario.run(sc)
     keep = set(rep.router_station_ids)
     for ch, tr in rep.traces.items():
-        view = mac.ChannelTrace(ch, tr.duration_us,
-                                [r for r in tr.records if r.station_id in keep])
+        view = trace_of(ch, tr.duration_us,
+                        [r for r in tr.records if r.station_id in keep])
         assert scenario.occupancy_bins(view, 33.3)[:2] == _binned_reference(view, 33.3)
         assert rep.occupancy_bins[ch] == _binned_reference(view, 33.3)[1]
 
@@ -407,7 +409,7 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
     specs, router_ids = scenario.build_stations(sc)
     window_us = sc.effective_mac_window_s() * 1e6
     traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
-    rebuilt = {ch: mac.ChannelTrace(ch, tr.duration_us, list(tr.records))
+    rebuilt = {ch: trace_of(ch, tr.duration_us, tr.records)
                for ch, tr in traces.items()}
     assert mac.export_trace(rebuilt.values()) == mac.export_trace(traces.values())
     phy = sc.mac_params.phy_overhead_us
@@ -473,8 +475,8 @@ def test_router_occupancy_mean_equals_occupancy_of_router_frames():
     rep = scenario.run(sc)
     keep = set(rep.router_station_ids)
     for ch, tr in rep.traces.items():
-        view = mac.ChannelTrace(ch, tr.duration_us,
-                                [r for r in tr.records if r.station_id in keep])
+        view = trace_of(ch, tr.duration_us,
+                        [r for r in tr.records if r.station_id in keep])
         assert rep.occupancy_mean[ch] == mac.occupancy(view, (0.0, tr.duration_us))
 
 
@@ -484,22 +486,48 @@ def test_harvest_duty_computed_once_per_channel(monkeypatch):
     text += "\n[harvester second]\nkind = temp_battery_free\ndistance_ft = 12\n"
     sc = scenario.parse_scenario(text)
     sc.mac_window_s = 0.2
-    # every occupancy, throughput and duty of a run comes from one
-    # `mac.channel_sums` pass per channel, not from the per-series views
-    calls = []
-    real = mac.channel_sums
+    # every occupancy and throughput of a run comes from one
+    # `mac.channel_sums` pass per channel, not from the per-series views,
+    # and each duty from one `harvest_duty` per channel the harvesters read
+    calls, duty_calls = [], []
+    real, real_duty = mac.channel_sums, scenario.harvest_duty
     monkeypatch.setattr(mac, "channel_sums",
                         lambda tr, *a: calls.append(tr.channel) or real(tr, *a))
-    for mod, name in ((scenario, "occupancy_bins"), (scenario, "harvest_duty"),
-                      (router, "throughput_series")):
+    monkeypatch.setattr(scenario, "harvest_duty",
+                        lambda tr, *a: duty_calls.append(tr.channel) or real_duty(tr, *a))
+    for mod, name in ((scenario, "occupancy_bins"), (router, "throughput_series")):
         monkeypatch.setattr(mod, name, None)
     rep = scenario.run(sc)
     assert len(sc.harvesters) == 2 and rep.throughput
     assert sorted(calls) == sorted(set(calls)) == sorted(rep.traces)
+    assert {ch for h in sc.harvesters for ch in h.channels} == set(rep.traces)
+    assert sorted(duty_calls) == sorted(set(duty_calls)) == sorted(rep.traces)
     one = scenario.parse_scenario(text.rsplit("[harvester second]", 1)[0])
     one.mac_window_s = 0.2
     first = sc.harvesters[0].harvester_id
     assert rep.harvester_summary[first] == scenario.run(one).harvester_summary[first]
+
+
+def test_run_without_a_harvester_sums_no_on_air_time(monkeypatch):
+    sc = scenario.load_scenario(scenario.bundled_config("delay_sweep.cfg"))
+    sc.mac_window_s = 0.2
+    calls = []
+    real = mac.on_air_us
+    monkeypatch.setattr(mac, "on_air_us", lambda *a: calls.append(a) or real(*a))
+    rep = scenario.run(sc)
+    assert not sc.harvesters and rep.traces
+    assert calls == []
+
+
+def test_duration_past_2_52_envelope_periods_rejected():
+    # past it the envelope's period starts stop being distinct, and a fire
+    # train logs events until memory runs out
+    period = scenario.ENVELOPE_PERIOD_S
+    inside = 0.99 * 2**52 * period
+    assert scenario.parse_scenario(f"duration_s = {inside!r}\nseed = 1\n").duration_s == inside
+    for duration in (1.01 * 2**52 * period, 1e300):
+        with pytest.raises(ConfigError, match=r"duration_s makes over 2\*\*52 periods"):
+            scenario.parse_scenario(f"duration_s = {duration!r}\nseed = 1\n")
 
 
 def test_write_outputs_streams_the_trace_text(tmp_path):

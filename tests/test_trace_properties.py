@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wifipower import mac, scenario
 
+from trace_helpers import trace_of
+
 SETTINGS = settings(
     max_examples=80,
     deadline=None,
@@ -72,7 +74,7 @@ def traces(draw):
                             size * 8.0 / rate, size * 8.0 / rate + 24.0, f"{sid}:{kind}")
             for t, sid, kind, size, rate, outcome in frames
         ]
-        out.append(mac.ChannelTrace(ch, records[-1].t_start_us, records))
+        out.append(trace_of(ch, records[-1].t_start_us, records))
     return out
 
 
@@ -109,8 +111,8 @@ def test_analyzed_file_equals_occupancy_of_parsed_trace(tmp_path, trs, data):
     want = {}
     for ch, tr in parsed.items():
         if keep is not None:
-            tr = mac.ChannelTrace(ch, tr.duration_us,
-                                  [r for r in tr.records if r.station_id in keep])
+            tr = trace_of(ch, tr.duration_us,
+                          [r for r in tr.records if r.station_id in keep])
         want[ch] = mac.occupancy(tr, (0.0, tr.duration_us))
     got = scenario.analyze_trace(str(path), stations=stations)
     assert got["per_channel"] == want
