@@ -3,7 +3,7 @@
 from wifipower import mac
 
 
-def trace_of(channel, duration_us, records=()):
+def trace_of(channel, duration_us, records):
     """A trace of `records` (FrameRecords) in the order given, filled the
     way the engine fills one: a code per row and an append per frame."""
     tr = mac.ChannelTrace(channel, duration_us)
