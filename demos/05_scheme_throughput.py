@@ -7,14 +7,14 @@ two flows); the queue-gated scheme backs off whenever client frames
 are waiting and costs almost nothing.
 """
 
-from wifipower import router, scenario
+from wifipower import scenario
 
 print("Saturated 54 Mbps client, 20 s per scheme:\n")
 results = {}
 for scheme in ("Baseline", "BlindUDP", "NoQueue", "PoWiFi", "PoWiFiSlow"):
     sc = scenario.load_scenario(scenario.bundled_config("scheme_comparison.cfg"))
     sc.duration_s = 20.0
-    sc.router.scheme = router.Scheme(scheme)
+    sc.router.scheme = scheme
     rep = scenario.run(sc)
     results[scheme] = rep.throughput_mean["client1"]
     stats = rep.power_stats.get(1)

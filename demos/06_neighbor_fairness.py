@@ -8,7 +8,7 @@ the channel more briefly than a slower neighbor's, leaving the
 neighbor more throughput than an equal time share would.
 """
 
-from wifipower import router, scenario
+from wifipower import scenario
 
 
 def neighbor_tput(scheme_name, rate, seconds=20.0):
@@ -17,7 +17,7 @@ def neighbor_tput(scheme_name, rate, seconds=20.0):
     for st in sc.stations:
         if st.role == "neighbor_ap":
             st.rate_mbps = rate
-    sc.router.scheme = router.Scheme(scheme_name)
+    sc.router.scheme = scheme_name
     return scenario.run(sc).throughput_mean["neigh1"]
 
 

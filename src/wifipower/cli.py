@@ -149,8 +149,13 @@ def main(argv=None) -> int:
         sys.stderr.write(f"output error: {exc}\n")
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        sys.stderr.write(f"runtime error: {exc}\n")
-        return EXIT_RUNTIME
+        failure = exc
+    # the tracebacks of the error and of the ones it was raised during hold
+    # the failed run's frames: drop them, so that after a MemoryError the
+    # message has their memory
+    failure.__traceback__ = failure.__context__ = failure.__cause__ = None
+    sys.stderr.write(f"runtime error: {str(failure) or type(failure).__name__}\n")
+    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

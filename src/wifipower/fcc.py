@@ -120,14 +120,6 @@ def check_compliance(plan: TxPlan) -> ComplianceReport:
     )
 
 
-def capped_total_conducted(plan: TxPlan) -> PowerDbm:
-    """The plan's conducted total, capped at the legal maximum."""
-    allowed = max_conducted_power(
-        directional_gain(plan.g_ant, plan.n_ant, plan.correlated)
-    )
-    return PowerDbm(min(plan.total_conducted.value, allowed.value))
-
-
 def plan_eirp(plan: TxPlan) -> PowerDbm:
     """EIRP toward the array focus with conducted power capped legally.
 
@@ -136,11 +128,11 @@ def plan_eirp(plan: TxPlan) -> PowerDbm:
     10*log10(N_ant * eta) dB of additional gain on the target, eta being
     the beamforming efficiency.
     """
-    capped = capped_total_conducted(plan)
+    capped = min(plan.total_conducted.value, check_compliance(plan).allowed_total.value)
     if plan.correlated:
         array_gain = 10.0 * math.log10(plan.n_ant * plan.beamforming_efficiency)
-        return PowerDbm(capped.value + plan.g_ant.value + array_gain)
-    return PowerDbm(capped.value + plan.g_ant.value)
+        return PowerDbm(capped + plan.g_ant.value + array_gain)
+    return PowerDbm(capped + plan.g_ant.value)
 
 
 def delivered_power_at_target(

@@ -38,10 +38,9 @@ of frame start times, an `array('I')` of frame codes, and one FrameRow
 per distinct (station, flow, kind, size, rate, outcome, payload airtime,
 busy time). Each flow registers its delivered and collided code in the
 trace as the engine builds it (`_FlowRt`, from the flow's spec), and
-the loop appends just a start time and a code per frame: on the first
-seed-1 `home-contended` benchmark input that is
-13.0 bytes of heap per frame, down from 143.2 for the list of
-FrameRecords it replaces (`mac.heap_bytes_per_frame`). The engine and
+the loop appends just a start time and a code per frame: 13.0 bytes
+of heap per frame on the first seed-1 `home-contended` benchmark input
+(`mac.heap_bytes_per_frame`). The engine and
 `parse_trace` fill a trace one way, a `code` per row and an `append` per
 frame. The metrics look values up once per code and walk the two
 columns, and the export formats one line tail per row

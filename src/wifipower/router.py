@@ -10,7 +10,8 @@ which is what makes the default policy fair (better than equal-share)
 to neighboring networks. The source is a `mac.FlowSpec`: the engine
 times its arrivals and applies its gate (`mac.gate_admits`).
 
-Schemes compared throughout the test and demo suite:
+Schemes compared throughout the test and demo suite, as `SCHEMES` holds
+them:
   Baseline    no power traffic at all, beacons only
   BlindUDP    saturating broadcast at 1 Mbps, no queue gate
   NoQueue     broadcast at 54 Mbps, no queue gate
@@ -22,61 +23,53 @@ Schemes compared throughout the test and demo suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import mac
 from .errors import ConfigError
 
-SCHEME_NAMES = ("Baseline", "BlindUDP", "NoQueue", "PoWiFi", "PoWiFiSlow", "EqualShare")
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """A comparison scheme; EqualShare's rate may stay None until the
-    neighbor pair's bit rate is known."""
-
-    name: str
-    equal_share_rate_mbps: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.name not in SCHEME_NAMES:
-            raise ConfigError(
-                f"unknown scheme {self.name!r} (choose from {SCHEME_NAMES})"
-            )
+#: Scheme -> None (no power source) or (rate in Mbps, None for the
+#: neighbor pair's; queue gate on; pacing in us, None for the operator's
+#: delay). The one place a scheme's rate, gate and pacing are written.
+SCHEMES: dict[str, Optional[tuple[Optional[float], bool, Optional[float]]]] = {
+    "Baseline": None,
+    "BlindUDP": (1.0, False, None),
+    "NoQueue": (54.0, False, None),
+    "PoWiFi": (54.0, True, None),
+    "PoWiFiSlow": (54.0, True, 500.0),
+    "EqualShare": (None, False, None),
+}
+SCHEME_NAMES = tuple(SCHEMES)
 
 
 def power_flow(
-    scheme: Scheme,
+    scheme: str,
     station_id: str,
     delay_us: float,
     size_bytes: int,
     queue_threshold: int,
+    share_rate_mbps: Optional[float] = None,
 ) -> Optional[mac.FlowSpec]:
     """The MAC flow of a channel's power source under `scheme`, or None
     for Baseline.
 
-    The operator's delay, size and threshold are taken as given; the
-    scheme fixes the rate and whether the queue gate applies, and
-    PoWiFiSlow paces at 500 us whatever the delay.
+    The operator's delay, size and threshold are taken as given, and
+    `share_rate_mbps` is the neighbor pair's rate; `SCHEMES` fixes the
+    rest.
     """
-    if scheme.name == "Baseline":
+    row = SCHEMES[scheme]
+    if row is None:
         return None
-    gated = scheme.name in ("PoWiFi", "PoWiFiSlow")
-    if scheme.name == "BlindUDP":
-        rate = 1.0
-    elif scheme.name == "EqualShare":  # match the neighbor pair's bit rate
-        if scheme.equal_share_rate_mbps is None:
-            raise ConfigError("EqualShare rate is unresolved; no neighbor rate known")
-        rate = scheme.equal_share_rate_mbps
-    else:
-        rate = 54.0
+    rate, gated, pacing_us = row
+    rate = share_rate_mbps if rate is None else rate
+    if rate is None:
+        raise ConfigError(f"{scheme} rate is unresolved; no neighbor rate known")
     return mac.FlowSpec(
         name=f"{station_id}.power",
         kind="power_broadcast",
         size_bytes=size_bytes,
         rate_mbps=rate,
-        interval_us=500.0 if scheme.name == "PoWiFiSlow" else delay_us,
+        interval_us=delay_us if pacing_us is None else pacing_us,
         gate_threshold=queue_threshold if gated else None,
     )
 

@@ -61,7 +61,8 @@ SWEEP_VARIABLES = tuple(_SWEEPS)
 
 @dataclass
 class RouterConf:
-    scheme: router.Scheme = field(default_factory=lambda: router.Scheme("PoWiFi"))
+    scheme: str = "PoWiFi"
+    equal_share_rate_mbps: Optional[float] = None  # EqualShare only; else the neighbor's
     channels: tuple[int, ...] = (1, 6, 11)
     tx_total_dbm: float = 30.0
     antenna_gain_dbi: float = 6.0
@@ -88,6 +89,29 @@ class RouterConf:
     def station_ids(self) -> tuple[str, ...]:
         """The router's MAC station id on each of its channels."""
         return tuple(f"router_ch{ch}" for ch in self.channels)
+
+    def validate(self) -> None:
+        if self.scheme not in router.SCHEMES:
+            raise ConfigError(
+                f"unknown scheme {self.scheme!r} (choose from {router.SCHEME_NAMES})"
+            )
+        if self.equal_share_rate_mbps is not None and self.scheme != "EqualShare":
+            raise ConfigError("equal_share_rate_mbps applies to scheme EqualShare only")
+        self.tx_plan()  # a bad plan raises ConfigError
+        if not self.channels:
+            raise ConfigError("router needs at least one channel")
+        for ch in self.channels:
+            if ch not in mac.VALID_CHANNELS:
+                raise ConfigError(f"router channel {ch} invalid")
+        # checked under every scheme, Baseline and the ungated ones included
+        if self.power_delay_us <= 0:
+            raise ConfigError("inter-packet delay must be > 0 us")
+        if self.power_size_bytes < 1:
+            raise ConfigError("packet size must be >= 1 byte")
+        if self.queue_threshold < 1:
+            raise ConfigError("queue threshold must be >= 1 frame")
+        if self.equal_share_rate_mbps is not None:  # a rate of the rate set
+            mac.payload_airtime_us(self.power_size_bytes, self.equal_share_rate_mbps)
 
 
 @dataclass
@@ -150,9 +174,10 @@ class HarvesterConf:
                 f"harvester {self.harvester_id!r}: unknown kind {self.kind!r} "
                 f"(choose from {sorted(hv.PRESETS)})"
             )
-        if self.distance_m <= 0:
+        # the range search's floor; much closer the link budget overflows
+        if self.distance_m < rf.MIN_RANGE_M:
             raise ConfigError(
-                f"harvester {self.harvester_id!r}: distance must be > 0"
+                f"harvester {self.harvester_id!r}: distance must be >= {rf.MIN_RANGE_M} m"
             )
         if not self.channels:
             raise ConfigError(f"harvester {self.harvester_id!r}: needs at least one channel")
@@ -195,19 +220,7 @@ class Scenario:
                     f"{name} makes over {MAX_BINS} bins in the "
                     f"{window_ms / 1000.0} s MAC window"
                 )
-        self.router.tx_plan()  # a bad plan raises ConfigError
-        if not self.router.channels:
-            raise ConfigError("router needs at least one channel")
-        for ch in self.router.channels:
-            if ch not in mac.VALID_CHANNELS:
-                raise ConfigError(f"router channel {ch} invalid")
-        # checked under every scheme, Baseline and the ungated ones included
-        if self.router.power_delay_us <= 0:
-            raise ConfigError("inter-packet delay must be > 0 us")
-        if self.router.power_size_bytes < 1:
-            raise ConfigError("packet size must be >= 1 byte")
-        if self.router.queue_threshold < 1:
-            raise ConfigError("queue threshold must be >= 1 frame")
+        self.router.validate()
         ids = [*self.router.station_ids(), *(s.station_id for s in self.stations)]
         if len(set(ids)) != len(ids):
             raise ConfigError("station ids must be unique")
@@ -223,27 +236,19 @@ class Scenario:
                 )
         for h in self.harvesters:
             h.validate()
-        if (
-            self.router.scheme.name == "EqualShare"
-            and self.router.scheme.equal_share_rate_mbps is None
-        ):
-            rates = [s.rate_mbps for s in self.stations if s.role == "neighbor_ap"]
-            if not rates:
-                raise ConfigError("EqualShare needs a neighbor station or explicit rate")
+        if self.router.scheme == "EqualShare" and self.share_rate_mbps() is None:
+            raise ConfigError("EqualShare needs a neighbor station or explicit rate")
 
     def effective_mac_window_s(self) -> float:
         if self.mac_window_s is not None:
             return min(self.mac_window_s, self.duration_s)
         return min(DEFAULT_MAC_WINDOW_S, self.duration_s)
 
-    def equal_share_scheme(self) -> router.Scheme:
-        sch = self.router.scheme
-        if sch.name == "EqualShare" and sch.equal_share_rate_mbps is None:
-            rate = max(
-                s.rate_mbps for s in self.stations if s.role == "neighbor_ap"
-            )
-            return router.Scheme("EqualShare", equal_share_rate_mbps=rate)
-        return sch
+    def share_rate_mbps(self) -> Optional[float]:
+        """EqualShare's rate: the router's, else the fastest neighbor's."""
+        if self.router.equal_share_rate_mbps is not None:
+            return self.router.equal_share_rate_mbps
+        return max((s.rate_mbps for s in self.stations if s.role == "neighbor_ap"), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +305,7 @@ def _keys(cls, skip: tuple[str, ...] = (), **extra) -> dict:
 #: Section name (None for the top level) -> its keys and their readers.
 _SECTION_KEYS = {
     None: _keys(Scenario, skip=("router", "stations", "harvesters", "mac_params")),
-    # `scheme` and `equal_share_rate_mbps` together make a router.Scheme
-    "router": _keys(RouterConf, scheme=str, equal_share_rate_mbps=_read_float),
+    "router": _keys(RouterConf),
     "mac": _keys(mac.MacParams),
     "station": _keys(StationConf, skip=("station_id",)),
     # `distance_ft` is `distance_m` given in feet
@@ -313,16 +317,11 @@ _SECTION_KEYS = {
 
 def _build_section(name: str, sid: Optional[str], keys: dict):
     """The conf object of one section, validated as far as it alone can be."""
-    if name == "router":
-        rate = keys.pop("equal_share_rate_mbps", None)
-        if rate is not None and keys.get("scheme") != "EqualShare":
-            raise ConfigError("equal_share_rate_mbps applies to scheme EqualShare only")
-        if "scheme" in keys:
-            keys["scheme"] = router.Scheme(keys["scheme"], equal_share_rate_mbps=rate)
-        return RouterConf(**keys)
     if name == "mac":
         return mac.MacParams(**keys)
-    if name == "station":
+    if name == "router":
+        conf = RouterConf(**keys)
+    elif name == "station":
         conf = StationConf(sid, **keys)
     else:
         if "distance_ft" in keys:
@@ -537,8 +536,8 @@ class ReportSet:
 
 def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]]:
     """MAC station specs for a scenario: router APs, then neighbors."""
-    scheme = sc.equal_share_scheme()
     rc = sc.router
+    share_rate = sc.share_rate_mbps()
     specs: list[mac.StationSpec] = []
     router_ids = rc.station_ids()
     client_flows: dict[int, list[mac.FlowSpec]] = {}
@@ -549,7 +548,8 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
     for ch, sid in zip(rc.channels, router_ids):
         flows: list[mac.FlowSpec] = list(client_flows.get(ch, ()))
         power = router.power_flow(
-            scheme, sid, rc.power_delay_us, rc.power_size_bytes, rc.queue_threshold
+            rc.scheme, sid, rc.power_delay_us, rc.power_size_bytes, rc.queue_threshold,
+            share_rate,
         )
         if power is not None:
             flows.append(power)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from wifipower import fcc, harvester as hv, mac, rf, router, scenario
+from wifipower import fcc, harvester as hv, mac, rf, scenario
 from wifipower.units import Distance, Frequency, GainDbi, PowerDbm
 
 from trace_helpers import trace_of
@@ -31,7 +31,7 @@ def _load(name: str) -> scenario.Scenario:
 
 def _scheme_run(name: str, scheme: str, seed: int) -> scenario.ReportSet:
     sc = _load(name)
-    sc.router.scheme = router.Scheme(scheme)
+    sc.router.scheme = scheme
     sc.seed = seed
     return scenario.run(sc)
 
@@ -144,7 +144,7 @@ def _neighbor_tput(scheme: str, rate: float, seed: int) -> float:
     for st in sc.stations:
         if st.role == "neighbor_ap":
             st.rate_mbps = rate
-    sc.router.scheme = router.Scheme(scheme)
+    sc.router.scheme = scheme
     sc.seed = seed
     rep = scenario.run(sc)
     return rep.throughput_mean["neigh1"]

@@ -1,6 +1,8 @@
 import argparse
 import os
 import signal
+import sys
+import weakref
 
 import pytest
 
@@ -88,8 +90,87 @@ def test_bad_transmit_plan_exits_2(tmp_path, capsys, line, message):
     cfg = write_cfg(tmp_path, BASIC + line + "\n")
     rc = cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")])
     assert rc == 2
-    assert f"config error: router transmit plan: {message}" in capsys.readouterr().err
+    # line 5 is the [router] header
+    assert f"config error: line 5: router transmit plan: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("channels =", "router needs at least one channel"),
+    ("channels = 6,3", "router channel 3 invalid"),
+    ("power_delay_us = 0", "inter-packet delay must be > 0 us"),
+    ("power_size_bytes = 0", "packet size must be >= 1 byte"),
+    ("queue_threshold = 0", "queue threshold must be >= 1 frame"),
+], ids=["no_channels", "bad_channel", "delay_zero", "size_zero", "threshold_zero"])
+def test_router_errors_carry_the_header_line(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, BASIC.replace("channels = 6", line))
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: line 5: {message}\n"
+
+
+def test_an_equal_share_rate_outside_the_rate_set_carries_the_header_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path,
+                    BASIC.replace("PoWiFi", "EqualShare") + "equal_share_rate_mbps = 25\n")
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 5: rate 25.0 Mbps not in the allowed rate set\n")
+
+
+def test_a_harvester_closer_than_the_range_floor_exits_2(tmp_path, capsys):
+    # at 1e-300 m the link budget overflowed into a runtime error
+    cfg = write_cfg(tmp_path, BASIC + "[harvester h1]\ndistance_m = 1e-300\n")
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 8: harvester 'h1': distance must be >= 0.01 m\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_sweep_closer_than_the_range_floor_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", scenario.bundled_config("temp_sensor_range.cfg"), "--var", "distance",
+                   "--values", "1e-300", "--duration", "1", "--out-dir", str(out)])
+    assert rc == 2
+    assert "distance must be >= 0.01 m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "MemoryError"),
+    (ZeroDivisionError("float division by zero"), "float division by zero"),
+])
+def test_a_runtime_error_names_itself(tmp_path, capsys, monkeypatch, exc, message):
+    def fail(sc):
+        raise exc
+
+    monkeypatch.setattr(scenario, "run", fail)
+    assert cli.main(["run", write_cfg(tmp_path, BASIC), "--out-dir", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
+def test_a_runtime_error_is_written_after_the_failed_run_is_freed(tmp_path, monkeypatch):
+    class Held:
+        pass
+
+    held = []
+
+    def fail(sc):
+        frame_local = Held()
+        held.append(weakref.ref(frame_local))
+        try:
+            raise MemoryError
+        except MemoryError:
+            raise MemoryError from None  # its context holds this frame too
+
+    written = []
+
+    class Stderr:
+        def write(self, text):
+            written.append((text, held[0]() is None))
+
+    monkeypatch.setattr(scenario, "run", fail)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert cli.main(["run", write_cfg(tmp_path, BASIC), "--out-dir", str(tmp_path / "x")]) == 3
+    assert written == [("runtime error: MemoryError\n", True)]
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_airtime_fairness_ratio():
 def powifi_flow(interval_us: float = 100.0) -> mac.FlowSpec:
     """The router's power source under PoWiFi: 1500 bytes at 54 Mbps,
     gated at a queue depth of 5."""
-    return router.power_flow(router.Scheme("PoWiFi"), "r", interval_us, 1500, 5)
+    return router.power_flow("PoWiFi", "r", interval_us, 1500, 5)
 
 
 def run_single_backlogged(rate_mbps: float, seed: int = 1, dur: float = 5e6):

@@ -7,8 +7,7 @@ from trace_helpers import trace_of
 
 
 def scheme_flow(name, delay_us=100.0, size_bytes=1500, queue_threshold=5, rate=None):
-    return router.power_flow(router.Scheme(name, equal_share_rate_mbps=rate), "r",
-                             delay_us, size_bytes, queue_threshold)
+    return router.power_flow(name, "r", delay_us, size_bytes, queue_threshold, rate)
 
 
 def test_policy_validation():

@@ -92,8 +92,8 @@ def test_section_keys_are_the_fields_of_each_conf():
 
 
 def test_a_field_without_a_reader_has_no_key():
-    with pytest.raises(TypeError, match="RouterConf.scheme: no reader"):
-        scenario._keys(scenario.RouterConf)
+    with pytest.raises(TypeError, match="HarvesterConf.wall: no reader"):
+        scenario._keys(scenario.HarvesterConf)
 
 
 @pytest.mark.parametrize("section, message", [
@@ -602,7 +602,7 @@ rate_mbps = 24
 traffic = backlogged
 """
     sc = scenario.parse_scenario(cfg)
-    assert sc.equal_share_scheme().equal_share_rate_mbps == 24.0
+    assert sc.share_rate_mbps() == 24.0
 
 
 def test_equal_share_without_neighbor_rejected():
