@@ -23,10 +23,7 @@ def mean_net_w(cfg, d_ft, wall=rf.WallMaterial.NONE):
                                Frequency(rf.CHANNEL_FREQ_HZ[ch]), wall)
         chp.append((rf.received_power(EIRP, GainDbi(2.0), link), DUTY))
     segs = hv.duty_envelope(chp)
-    gross = hv.mean_transfer_power_w(segs, cfg)
-    if isinstance(cfg.storage, hv.BatteryStore):
-        return gross - cfg.dcdc.quiescent_w
-    return gross - cfg.storage.leakage_w
+    return hv.mean_transfer_power_w(segs, cfg) - cfg.storage.leakage_w
 
 
 print("Energy-neutral update rate vs distance (updates per second):\n")

@@ -1,10 +1,10 @@
 """Deterministic desk-scale simulator of power delivery over Wi-Fi.
 
 Subsystems:
-  units      unit-tagged scalars (dBm, mW, dBi, Hz, meters)
+  units      unit-tagged scalars (dBm, mW, dBi, Hz, meters), linear power sum
   fcc        conducted-power limits and multi-antenna directional gain
   rf         free-space propagation, wall loss, range inversion
-  harvester  rectifier / DC-DC / storage / sensor-load pipeline
+  harvester  rectifier / storage / sensor-load pipeline
   mac        event-driven CSMA/CA engine and channel occupancy metrics
   router     power-packet policies and the comparison schemes
   scenario   config files, deterministic runs, sweeps, report CSVs
@@ -14,12 +14,10 @@ from .units import (
     Distance,
     Frequency,
     GainDbi,
-    LossDb,
     PowerDbm,
     PowerMw,
     dbm_to_mw,
     mw_to_dbm,
-    sum_linear,
 )
 from .errors import ConfigError, TraceFormatError
 
@@ -27,12 +25,10 @@ __all__ = [
     "Distance",
     "Frequency",
     "GainDbi",
-    "LossDb",
     "PowerDbm",
     "PowerMw",
     "dbm_to_mw",
     "mw_to_dbm",
-    "sum_linear",
     "ConfigError",
     "TraceFormatError",
 ]

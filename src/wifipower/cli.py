@@ -47,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out-dir", default="out")
 
     fcc_p = sub.add_parser("fcc", help="check a transmit plan")
-    fcc_p.add_argument("--n-ant", type=int, default=1)
-    fcc_p.add_argument("--gain-dbi", type=float, default=6.0)
-    fcc_p.add_argument("--total-dbm", type=float, default=30.0)
+    fcc_p.add_argument("--n-ant", default="1")
+    fcc_p.add_argument("--gain-dbi", default="6.0")
+    fcc_p.add_argument("--total-dbm", default="30.0")
     fcc_p.add_argument("--correlated", action="store_true")
-    fcc_p.add_argument("--efficiency", type=float, default=1.0)
+    fcc_p.add_argument("--efficiency", default="1.0")
 
     an_p = sub.add_parser("analyze", help="occupancy of a trace file")
     an_p.add_argument("trace")
@@ -94,14 +94,24 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+#: Each `fcc` option and the `[router]` key whose reader reads it.
+_FCC_KEYS = {
+    "n_ant": "n_antennas",
+    "gain_dbi": "antenna_gain_dbi",
+    "total_dbm": "tx_total_dbm",
+    "efficiency": "beamforming_efficiency",
+}
+
+
 def _cmd_fcc(args) -> int:
-    plan = scenario.RouterConf(
-        n_antennas=args.n_ant,
-        antenna_gain_dbi=args.gain_dbi,
-        tx_total_dbm=args.total_dbm,
-        correlated=args.correlated,
-        beamforming_efficiency=args.efficiency,
-    ).tx_plan()
+    readers = scenario._SECTION_KEYS["router"]
+    values = {}
+    for option, key in _FCC_KEYS.items():
+        try:
+            values[key] = readers[key](getattr(args, option))
+        except ValueError as exc:
+            raise ConfigError(f"--{option.replace('_', '-')}: {exc}") from None
+    plan = scenario.RouterConf(correlated=args.correlated, **values).tx_plan()
     report = fcc.check_compliance(plan)
     sys.stdout.write(report.as_text() + "\n")
     return EXIT_OK

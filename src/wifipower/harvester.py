@@ -1,10 +1,9 @@
-"""Behavioral RF-harvester model: rectifier, DC-DC stage, storage, loads.
+"""Behavioral RF-harvester model: rectifier, storage, loads.
 
 The chain is: incident RF power -> rectifier (piecewise log-log curve
-with a hard sensitivity floor) -> DC-DC converter (cold-start gated for
-battery-free designs, quiescent-draw for battery-assisted ones) ->
-storage element (capacitor with leakage, or battery) -> sensor load
-firing at an activation voltage.
+with a hard sensitivity floor) -> storage element (capacitor, or
+battery behind its converter, each with a standing draw `leakage_w`)
+-> sensor load firing at an activation voltage.
 
 Everything steps in closed form over intervals of constant incident
 power, so runs are exact and deterministic with no integration tick.
@@ -15,14 +14,14 @@ fires as a train, one closed-form step per fire, which is what makes a
 holds a crossing is walked by `_walk`, the one capacitor stepping
 kernel, which `step` calls too.
 
-Calibration notice: the rectifier anchor powers, storage leakage, and
-converter quiescent draw are calibration parameters. The sensitivity
-endpoints (-17.8 dBm battery-free, -19.3 dBm battery-assisted) and the
-DC-DC thresholds (300 mV cold start, 2.4 V boot) are hardware facts;
-the interior curve shape and the loss magnitudes are fitted so that the
-end-to-end range and update-rate behavior lands where the real hardware
-was observed to land, and are documented as fitted values, not
-measurements.
+Calibration notice: the rectifier anchor powers and the stores'
+leakages are calibration parameters. The sensitivity endpoints
+(-17.8 dBm battery-free, where the rectifier reaches the converter's
+300 mV cold start, and -19.3 dBm battery-assisted) and the 2.4 V boot
+threshold are hardware facts; the interior curve shape and the loss
+magnitudes are fitted so that the end-to-end range and update-rate
+behavior lands where the real hardware was observed to land, and are
+documented as fitted values, not measurements.
 """
 
 from __future__ import annotations
@@ -49,22 +48,17 @@ class RectifierCurve:
 
     Between anchors the output interpolates linearly in log10(watts)
     against dBm (a straight segment on the usual log-log benchmark
-    plot). Below `sensitivity` the output is exactly zero. Above the
-    last anchor the conversion efficiency is clamped at the last
-    anchor's efficiency. `matching_loss_db` models residual impedance
-    mismatch ahead of the rectifier; the default curves fold matching
-    into their anchors, so it is 0 unless deliberately detuned.
+    plot). Below `sensitivity` the output is exactly zero, and from it
+    on at least the first anchor's. Above the last anchor the
+    conversion efficiency is clamped at the last anchor's efficiency.
     """
 
     sensitivity: PowerDbm
     anchors: tuple[tuple[float, float], ...]  # (p_in dBm, p_out watts)
-    matching_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.anchors:
             raise ValueError("rectifier curve needs at least one anchor")
-        if self.matching_loss_db < 0:
-            raise ValueError("matching loss must be >= 0 dB")
         xs = [a[0] for a in self.anchors]
         ys = [a[1] for a in self.anchors]
         if xs != sorted(xs) or len(set(xs)) != len(xs):
@@ -86,7 +80,7 @@ class RectifierCurve:
 
     def output_w(self, p_in: PowerDbm) -> float:
         """DC output power in watts for the given incident RF power."""
-        x = p_in.value - self.matching_loss_db
+        x = p_in.value
         if x < self.sensitivity.value:
             return 0.0
         xs, log_ys = self._xs, self._log_ys
@@ -98,50 +92,6 @@ class RectifierCurve:
         i = bisect_left(xs, x) - 1  # xs[i] < x <= xs[i + 1]
         frac = (x - xs[i]) / (xs[i + 1] - xs[i])
         return 10.0 ** (log_ys[i] + frac * (log_ys[i + 1] - log_ys[i]))
-
-    def open_circuit_v(self, p_dc_w: float) -> float:
-        """Rectifier open-circuit voltage, square-root in power.
-
-        Scaled so that v_oc = 0.300 V exactly at the sensitivity point,
-        the boundary at which the lowest-threshold cold-start converter
-        can begin to operate.
-        """
-        if p_dc_w <= 0:
-            return 0.0
-        return 0.300 * math.sqrt(p_dc_w / self.anchors[0][1])
-
-
-def rectifier_output(p_in: PowerDbm, curve: RectifierCurve) -> tuple[float, float]:
-    """(DC output power in watts, open-circuit voltage in volts)."""
-    p_dc = curve.output_w(p_in)
-    return p_dc, curve.open_circuit_v(p_dc)
-
-
-@dataclass(frozen=True)
-class ColdStartConverter:
-    """Battery-free DC-DC path: everything must start from 0 V.
-
-    No power transfers while the rectifier's open-circuit voltage sits
-    below `min_input_v`; once running, it pumps the storage element up
-    and connects the output when the store reaches its activation
-    voltage (`CapacitorStore.v_activate`).
-    """
-
-    min_input_v: float = 0.300
-
-
-@dataclass(frozen=True)
-class BatteryAssistedConverter:
-    """Battery-backed DC-DC path, no cold-start limitation.
-
-    `quiescent_w` is the converter's own standing draw; harvested power
-    below it cannot charge the battery. Fitted, not measured.
-    """
-
-    quiescent_w: float = 2.0e-6
-
-
-DcDcConverter = ColdStartConverter | BatteryAssistedConverter
 
 
 @dataclass(frozen=True)
@@ -175,14 +125,19 @@ class CapacitorStore:
 
 @dataclass(frozen=True)
 class BatteryStore:
-    """Rechargeable battery at a nominal terminal voltage."""
+    """Rechargeable battery at a nominal terminal voltage, charged
+    through a converter whose standing draw is `leakage_w`; harvested
+    power below it cannot charge the battery."""
 
     voltage: float
     capacity_j: float
+    leakage_w: float
 
     def __post_init__(self) -> None:
         if self.voltage <= 0 or self.capacity_j <= 0:
             raise ValueError("battery voltage and capacity must be > 0")
+        if self.leakage_w < 0:
+            raise ValueError("leakage must be >= 0")
 
 
 StorageElement = CapacitorStore | BatteryStore
@@ -190,9 +145,7 @@ StorageElement = CapacitorStore | BatteryStore
 
 @dataclass(frozen=True)
 class SensorLoad:
-    name: str
     e_op_j: float
-    v_min: float
     boot_time_s: float = 2e-3
 
     def __post_init__(self) -> None:
@@ -203,18 +156,8 @@ class SensorLoad:
 @dataclass(frozen=True)
 class HarvesterConfig:
     rectifier: RectifierCurve
-    dcdc: DcDcConverter
     storage: StorageElement
     load: Optional[SensorLoad] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.storage, CapacitorStore) and self.load is not None:
-            if self.load.v_min > self.storage.v_activate:
-                raise ValueError("load v_min above the activation voltage never fires")
-        if isinstance(self.storage, BatteryStore) and isinstance(
-            self.dcdc, ColdStartConverter
-        ):
-            raise ValueError("battery storage pairs with the battery-assisted converter")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +169,14 @@ BATTERY_FREE_RECTIFIER = RectifierCurve(
     anchors=((-17.8, 0.8e-6), (-10.0, 20e-6), (0.0, 200e-6), (10.0, 3e-3)),
 )
 
-#: Battery-assisted rectifier: 1.5 dB better sensitivity, no cold start.
+#: Battery-assisted rectifier: 1.5 dB better sensitivity.
 BATTERY_RECTIFIER = RectifierCurve(
     sensitivity=PowerDbm(-19.3),
     anchors=((-19.3, 0.8e-6), (-10.0, 20e-6), (0.0, 200e-6), (10.0, 3e-3)),
 )
 
-TEMP_SENSOR_LOAD = SensorLoad(name="temperature", e_op_j=2.77e-6, v_min=1.9)
-CAMERA_LOAD = SensorLoad(name="camera", e_op_j=10.4e-3, v_min=2.4)
+TEMP_SENSOR_LOAD = SensorLoad(e_op_j=2.77e-6)
+CAMERA_LOAD = SensorLoad(e_op_j=10.4e-3)
 
 #: Temperature-sensor storage: capacitance is not dictated by the part
 #: list, picked so a full boot store dwarfs the 2.77 uJ per operation.
@@ -251,14 +194,15 @@ CAMERA_STORE = CapacitorStore(
     leakage_w=6.0e-6,
 )
 
-NIMH_BATTERY = BatteryStore(voltage=2.4, capacity_j=0.750 * 2.4 * 3600)
-LI_ION_COIN_CELL = BatteryStore(voltage=3.0, capacity_j=0.001 * 3.0 * 3600)
+#: Battery stores; the coin cell's converter, for the camera, has the
+#: heavier standing draw (both fitted).
+NIMH_BATTERY = BatteryStore(voltage=2.4, capacity_j=0.750 * 2.4 * 3600, leakage_w=2.0e-6)
+LI_ION_COIN_CELL = BatteryStore(voltage=3.0, capacity_j=0.001 * 3.0 * 3600, leakage_w=3.9e-6)
 
 
 def battery_free_temp_sensor() -> HarvesterConfig:
     return HarvesterConfig(
         rectifier=BATTERY_FREE_RECTIFIER,
-        dcdc=ColdStartConverter(),
         storage=TEMP_SENSOR_STORE,
         load=TEMP_SENSOR_LOAD,
     )
@@ -267,7 +211,6 @@ def battery_free_temp_sensor() -> HarvesterConfig:
 def battery_temp_sensor() -> HarvesterConfig:
     return HarvesterConfig(
         rectifier=BATTERY_RECTIFIER,
-        dcdc=BatteryAssistedConverter(),
         storage=NIMH_BATTERY,
         load=TEMP_SENSOR_LOAD,
     )
@@ -276,17 +219,14 @@ def battery_temp_sensor() -> HarvesterConfig:
 def battery_free_camera() -> HarvesterConfig:
     return HarvesterConfig(
         rectifier=BATTERY_FREE_RECTIFIER,
-        dcdc=ColdStartConverter(),
         storage=CAMERA_STORE,
         load=CAMERA_LOAD,
     )
 
 
 def battery_camera() -> HarvesterConfig:
-    # heavier standing draw than the temperature design (fitted)
     return HarvesterConfig(
         rectifier=BATTERY_RECTIFIER,
-        dcdc=BatteryAssistedConverter(quiescent_w=3.9e-6),
         storage=LI_ION_COIN_CELL,
         load=CAMERA_LOAD,
     )
@@ -346,19 +286,6 @@ def new_state(cfg: HarvesterConfig) -> HarvesterState:
     return HarvesterState()
 
 
-def transfer_power_w(p_in: PowerDbm, cfg: HarvesterConfig) -> float:
-    """DC power actually entering the storage node at this input level.
-
-    Battery-free (cold start) designs transfer nothing while the
-    rectifier open-circuit voltage sits below the converter threshold,
-    which given the 300 mV anchoring is exactly the sensitivity floor.
-    """
-    p_dc, v_oc = rectifier_output(p_in, cfg.rectifier)
-    if isinstance(cfg.dcdc, ColdStartConverter) and v_oc < cfg.dcdc.min_input_v:
-        return 0.0
-    return p_dc
-
-
 def step(
     state: HarvesterState, p_in: PowerDbm, dt: float, cfg: HarvesterConfig
 ) -> HarvesterState:
@@ -373,11 +300,11 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    p_net_in = transfer_power_w(p_in, cfg)
+    p_dc = cfg.rectifier.output_w(p_in)
     if isinstance(cfg.storage, BatteryStore):
-        _charge_battery(state, p_net_in, dt, cfg)
+        _charge_battery(state, p_dc, dt, cfg)
     else:
-        _walk(state, cfg, [(dt, p_net_in)], 0.0, dt, _store_levels(cfg.storage))
+        _walk(state, cfg, [(dt, p_dc)], 0.0, dt, _store_levels(cfg.storage))
     return state
 
 
@@ -395,12 +322,11 @@ def _charge_battery(
     state: HarvesterState, p_dc: float, dt: float, cfg: HarvesterConfig
 ) -> None:
     """The battery stepping rule, in closed form: `dt` seconds at `p_dc`
-    watts of transfer. The net of the quiescent draw charges the battery
+    watts of transfer. The net of the store's leakage charges the battery
     (a drain takes at most the charge). The load fires once per `e_op_j`
     of new net surplus, evenly spaced, never from charge stored before."""
-    dcdc: BatteryAssistedConverter = cfg.dcdc  # type: ignore[assignment]
     store: BatteryStore = cfg.storage  # type: ignore[assignment]
-    net = p_dc - dcdc.quiescent_w
+    net = p_dc - store.leakage_w
     state.harvested_j += p_dc * dt
     if net <= 0:
         drained = min(state.stored_j, -net * dt)
@@ -409,7 +335,7 @@ def _charge_battery(
         state._fire_surplus_j = min(state._fire_surplus_j, state.stored_j)
         state.t_s += dt
         return
-    state.leaked_j += dcdc.quiescent_w * dt
+    state.leaked_j += store.leakage_w * dt
     charge = state.stored_j + net * dt
     if cfg.load is not None:
         e_op = cfg.load.e_op_j
@@ -658,7 +584,8 @@ def mean_transfer_power_w(segments: Sequence[Segment], cfg: HarvesterConfig) -> 
     total_t = sum_in_order(dt for dt, _ in segments)
     if total_t <= 0:
         raise ValueError("envelope has zero duration")
-    return sum_in_order(transfer_power_w(p_in, cfg) * dt_s for dt_s, p_in in segments) / total_t
+    output_w = cfg.rectifier.output_w
+    return sum_in_order(output_w(p_in) * dt_s for dt_s, p_in in segments) / total_t
 
 
 def run_envelope(
@@ -709,7 +636,7 @@ def run_envelope(
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
     leak = store.leakage_w
     # (seconds, transfer watts) of each segment, worked out once per run
-    walk = [(dt_s, transfer_power_w(p, cfg)) for dt_s, p in segments]
+    walk = [(dt_s, cfg.rectifier.output_w(p)) for dt_s, p in segments]
     nets = [w - leak for _, w in walk]
     # phase, net energy C and harvested energy at each segment edge
     edges = list(accumulate((dt_s for dt_s, _ in walk), initial=0.0))
@@ -835,11 +762,10 @@ def max_operating_range(
     """Largest distance, up to 100 m, at which steady-state operation is
     sustainable.
 
-    Battery-free: the time-average power entering storage must exceed
-    the storage leakage (the store then eventually reaches the boot
-    voltage). Battery-assisted: the average rectified power must exceed
-    the converter's quiescent draw (the energy-neutral update rate is
-    then positive). Found by bisection on the envelope `scenario.run`
+    The time-average power entering storage must exceed the store's
+    `leakage_w`: a capacitor then eventually reaches the boot voltage,
+    and a battery's energy-neutral update rate is positive. Found by
+    bisection on the envelope `scenario.run`
     drives a harvester with (`link_envelope`), at most 80 steps and
     none once the bounds are adjacent doubles; returns a zero Distance
     when even point-blank operation is unsustainable. The distance does
@@ -849,10 +775,7 @@ def max_operating_range(
     `duty` is the per-channel busy fraction; `channels` is the set the
     harvester draws from, so a single-channel harvester passes one.
     """
-    if isinstance(cfg.storage, BatteryStore):
-        draw_w = cfg.dcdc.quiescent_w  # type: ignore[union-attr]
-    else:
-        draw_w = cfg.storage.leakage_w
+    draw_w = cfg.storage.leakage_w
     if duty <= 0.0:
         return Distance(0.0)
     eirp_dbm, g_rx_dbi, wall_db = fcc.plan_eirp(plan).value, g_rx.value, wall.attenuation_db
@@ -863,7 +786,7 @@ def max_operating_range(
     def sustainable(d_m: float) -> bool:
         rx_mw = [dbm_to_mw(PowerDbm(rf.received_dbm(eirp_dbm, g_rx_dbi, d_m, f_hz, wall_db)))
                  .value for f_hz in freqs]
-        watts = {on: transfer_power_w(mw_sum_dbm(rx_mw[i] for i in on), cfg)
+        watts = {on: cfg.rectifier.output_w(mw_sum_dbm(rx_mw[i] for i in on))
                  for on in dict.fromkeys(on for _, on in geometry)}
         return sum_in_order(watts[on] * dt_s for dt_s, on in geometry) / total_t - draw_w > 0.0
 

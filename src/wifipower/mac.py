@@ -491,15 +491,13 @@ class _FlowRt:
 
 class _StationRt:
     __slots__ = (
-        "station_id", "flows", "backlogged", "getrandbits", "rr", "head",
-        "ready_since", "backoff_slots", "expiry", "cw", "retries", "queued",
-        "next_t",
+        "flows", "backlogged", "getrandbits", "rr", "head", "ready_since",
+        "backoff_slots", "expiry", "cw", "retries", "queued", "next_t",
     )
 
     def __init__(
         self, spec: StationSpec, master_seed: int, params: MacParams, trace: ChannelTrace
     ):
-        self.station_id = spec.station_id
         flows = list(spec.flows)
         if spec.is_ap:
             flows.append(FlowSpec(

@@ -1,11 +1,11 @@
 """Unit-tagged scalars for RF power arithmetic.
 
 Powers are carried in dBm everywhere and converted to linear milliwatts
-only at summation points. The types are deliberately non-interchangeable:
-adding two dBm values is meaningless and raises, adding an antenna gain
-to a power yields a power, and so on. A silent dB/linear mix-up corrupts
-every downstream link-budget and harvesting number, which is why these
-wrappers exist at all.
+only where they are summed, by `mw_sum_dbm`, the one linear power sum.
+The wrappers define no arithmetic: adding two dBm values is meaningless
+and raises, and a budget step works on `.value` floats. A silent
+dB/linear mix-up corrupts every downstream link-budget and harvesting
+number, which is why these wrappers exist at all.
 """
 
 from __future__ import annotations
@@ -37,37 +37,10 @@ class PowerDbm:
         if math.isnan(self.value) or self.value == math.inf:
             raise ValueError(f"PowerDbm must be finite or -inf, got {self.value!r}")
 
-    def __add__(self, other):
-        if isinstance(other, GainDbi):
-            return PowerDbm(self.value + other.value)
-        if isinstance(other, PowerDbm):
-            raise TypeError(
-                "adding two PowerDbm values in the dB domain is forbidden; "
-                "use sum_linear()"
-            )
-        if isinstance(other, (int, float)):
-            return PowerDbm(self.value + float(other))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GainDbi):
-            return PowerDbm(self.value - other.value)
-        if isinstance(other, LossDb):
-            # subtracting an attenuation is the usual budget step
-            return PowerDbm(self.value - other.value)
-        if isinstance(other, PowerDbm):
-            # Difference of two powers is a plain dB margin.
-            return self.value - other.value
-        if isinstance(other, (int, float)):
-            return PowerDbm(self.value - float(other))
-        return NotImplemented
-
 
 @dataclass(frozen=True, order=True)
 class PowerMw:
-    """Linear power in milliwatts. Non-negative and additive."""
+    """Linear power in milliwatts, non-negative."""
 
     value: float
 
@@ -75,11 +48,6 @@ class PowerMw:
         _require_finite("PowerMw", self.value)
         if self.value < 0:
             raise ValueError(f"PowerMw must be >= 0, got {self.value!r}")
-
-    def __add__(self, other):
-        if isinstance(other, PowerMw):
-            return PowerMw(self.value + other.value)
-        return NotImplemented
 
 
 @dataclass(frozen=True, order=True)
@@ -90,23 +58,6 @@ class GainDbi:
 
     def __post_init__(self) -> None:
         _require_finite("GainDbi", self.value)
-
-    def __add__(self, other):
-        if isinstance(other, GainDbi):
-            return GainDbi(self.value + other.value)
-        if isinstance(other, (int, float)):
-            return GainDbi(self.value + float(other))
-        return NotImplemented
-
-
-@dataclass(frozen=True, order=True)
-class LossDb:
-    """A positive-is-attenuation quantity in dB (path loss, wall loss)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        _require_finite("LossDb", self.value)
 
 
 @dataclass(frozen=True, order=True)
@@ -159,23 +110,12 @@ def mw_to_dbm(p: PowerMw) -> PowerDbm:
     return PowerDbm(10.0 * math.log10(p.value))
 
 
-def sum_linear(ps: list[PowerDbm]) -> PowerDbm:
-    """Sum powers the only valid way: convert to mW, add, convert back.
-
-    Conducted output power of a multi-antenna transmitter is summed
-    across antennas in linear units, never by adding dB figures; the sum
-    is `mw_sum_dbm`'s, so powers that are all -inf dBm sum to -inf.
-    """
-    if not ps:
-        raise ValueError("sum_linear needs at least one power")
-    return mw_sum_dbm(dbm_to_mw(p).value for p in ps)
-
-
 def mw_sum_dbm(values_mw: Iterable[float]) -> PowerDbm:
     """Milliwatt powers added left to right (`sum_in_order`), in dBm.
 
-    The total of powers arriving together at one receiver; a total of
-    zero (nothing on the air) is -inf dBm.
+    The one linear power sum: the total of powers arriving together at
+    one receiver, never an addition of dB figures. A total of zero
+    (nothing on the air) is -inf dBm.
     """
     total = sum_in_order(values_mw)
     return mw_to_dbm(PowerMw(total)) if total > 0 else PowerDbm(-math.inf)

@@ -200,17 +200,19 @@ def test_fcc_subcommand(capsys):
     assert "margin_db=-4.7712" in out
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--n-ant", "0", "n_ant must be >= 1, got 0"),
-    ("--gain-dbi", "nan", "GainDbi must be finite, got nan"),
-    ("--total-dbm", "inf", "PowerDbm must be finite or -inf, got inf"),
-    ("--efficiency", "2", "beamforming_efficiency must be in (0, 1], got 2.0"),
-], ids=["no_antennas", "gain_nan", "total_inf", "efficiency_two"])
-def test_fcc_bad_plan_exits_2(capsys, flag, value, message):
-    # the message the config path gives for the same plan
-    assert cli.main(["fcc", flag, value]) == 2
+@pytest.mark.parametrize("arg, message", [
+    ("--n-ant=0", "router transmit plan: n_ant must be >= 1, got 0"),
+    ("--gain-dbi=nan", "--gain-dbi: not a finite number: 'nan'"),
+    ("--total-dbm=inf", "--total-dbm: not a finite number: 'inf'"),
+    ("--total-dbm=-inf", "--total-dbm: not a finite number: '-inf'"),
+    ("--efficiency=2", "router transmit plan: beamforming_efficiency must be in (0, 1], got 2.0"),
+], ids=["no_antennas", "gain_nan", "total_inf", "total_minus_inf", "efficiency_two"])
+def test_fcc_bad_plan_exits_2(capsys, arg, message):
+    # each option is read by its [router] key's reader, and the plan is
+    # checked as the config path checks it
+    assert cli.main(["fcc", arg]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"config error: router transmit plan: {message}\n"
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
 
 

@@ -88,7 +88,7 @@ def reference_capacitor(cfg, segments, duration_s, t0, e0, booted, pending):
         for v in (store.v_floor, store.v_cutoff, store.v_activate)
     )
     leak = store.leakage_w
-    watts = [hv.transfer_power_w(p, cfg) for _, p in segments]
+    watts = [cfg.rectifier.output_w(p) for _, p in segments]
     starts = [0.0]
     for dt, _ in segments:
         starts.append(starts[-1] + dt)
@@ -177,10 +177,10 @@ def reference_capacitor(cfg, segments, duration_s, t0, e0, booted, pending):
 
 def reference_battery(cfg, segments, duration_s):
     """Events of a fresh battery run: the envelope's mean transfer, less
-    the quiescent draw, pays for one fire per operation's energy."""
+    the store's leakage, pays for one fire per operation's energy."""
     period = math.fsum(dt for dt, _ in segments)
-    mean_w = math.fsum(hv.transfer_power_w(p, cfg) * dt for dt, p in segments) / period
-    net = mean_w - cfg.dcdc.quiescent_w
+    mean_w = math.fsum(cfg.rectifier.output_w(p) * dt for dt, p in segments) / period
+    net = mean_w - cfg.storage.leakage_w
     events = [(0.0, "boot", cfg.storage.voltage)]
     if net > 0:
         n = int(net * duration_s / cfg.load.e_op_j)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wifipower import fcc, harvester as hv, rf
 from wifipower.units import Distance, Frequency, GainDbi, PowerDbm, dbm_to_mw, mw_sum_dbm
@@ -17,22 +18,43 @@ def ledger_residue(state: hv.HarvesterState, stored_start_j: float = 0.0) -> flo
 # -- rectifier ---------------------------------------------------------------
 
 def test_rectifier_below_sensitivity_is_dead():
-    p_dc, v_oc = hv.rectifier_output(PowerDbm(-25.0), hv.BATTERY_FREE_RECTIFIER)
-    assert p_dc == 0.0
-    assert v_oc == 0.0
+    assert hv.BATTERY_FREE_RECTIFIER.output_w(PowerDbm(-25.0)) == 0.0
 
 
-def test_rectifier_sensitivity_anchors_300mv():
-    p_dc, v_oc = hv.rectifier_output(PowerDbm(-17.8), hv.BATTERY_FREE_RECTIFIER)
-    assert p_dc > 0
-    assert v_oc == pytest.approx(0.300, abs=1e-12)
+def ulps_from(x: float, n: int) -> float:
+    """The float `n` steps above `x` (below it for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    curve=st.sampled_from([hv.BATTERY_FREE_RECTIFIER, hv.BATTERY_RECTIFIER]),
+    dbm=st.floats(-60.0, 40.0) | st.none(),
+    ulps=st.integers(-8, 8),
+)
+@example(curve=hv.BATTERY_FREE_RECTIFIER, dbm=None, ulps=1)
+@example(curve=hv.BATTERY_RECTIFIER, dbm=None, ulps=1)
+def test_rectifier_output_is_zero_below_the_sensitivity_and_a_first_anchor_from_it(
+    curve, dbm, ulps
+):
+    # the battery-free converter's 300 mV cold start sits at the first
+    # anchor, so no input the rectifier passes falls short of it;
+    # `dbm=None` draws an input `ulps` steps from the sensitivity
+    x = ulps_from(curve.sensitivity.value, ulps) if dbm is None else dbm
+    out = curve.output_w(PowerDbm(x))
+    if x < curve.sensitivity.value:
+        assert out == 0.0
+    else:
+        assert out >= curve.anchors[0][1]
 
 
 def test_rectifier_monotone_sweep():
     prev = -1.0
     for k in range(0, 81):
         p_in = PowerDbm(-20.0 + 0.25 * k)
-        p_dc, _ = hv.rectifier_output(p_in, hv.BATTERY_FREE_RECTIFIER)
+        p_dc = hv.BATTERY_FREE_RECTIFIER.output_w(p_in)
         assert p_dc >= prev
         prev = p_dc
 
@@ -40,20 +62,9 @@ def test_rectifier_monotone_sweep():
 def test_rectifier_efficiency_never_exceeds_one():
     for k in range(0, 200):
         x = -19.0 + 0.2 * k
-        p_dc, _ = hv.rectifier_output(PowerDbm(x), hv.BATTERY_FREE_RECTIFIER)
+        p_dc = hv.BATTERY_FREE_RECTIFIER.output_w(PowerDbm(x))
         p_in_w = 10 ** (x / 10.0) * 1e-3
         assert p_dc <= p_in_w + 1e-18
-
-
-def test_rectifier_matching_loss_shifts_input():
-    lossy = hv.RectifierCurve(
-        sensitivity=hv.BATTERY_FREE_RECTIFIER.sensitivity,
-        anchors=hv.BATTERY_FREE_RECTIFIER.anchors,
-        matching_loss_db=2.0,
-    )
-    p_ref, _ = hv.rectifier_output(PowerDbm(-10.0), hv.BATTERY_FREE_RECTIFIER)
-    p_lossy, _ = hv.rectifier_output(PowerDbm(-8.0), lossy)
-    assert p_lossy == pytest.approx(p_ref, rel=1e-12)
 
 
 def test_rectifier_rejects_bad_anchor_tables():
@@ -73,8 +84,8 @@ def test_cold_start_blocks_below_300mv():
     # A battery-free pipeline transfers nothing below its sensitivity,
     # which is exactly where the rectifier falls under 300 mV.
     cfg = hv.battery_free_temp_sensor()
-    assert hv.transfer_power_w(PowerDbm(-20.8), cfg) == 0.0
-    assert hv.transfer_power_w(PowerDbm(-17.8), cfg) > 0.0
+    assert cfg.rectifier.output_w(PowerDbm(-20.8)) == 0.0
+    assert cfg.rectifier.output_w(PowerDbm(-17.8)) > 0.0
 
 
 def test_step_decay_never_negative():
@@ -96,7 +107,6 @@ def test_step_charge_time_oracle():
         rectifier=hv.RectifierCurve(
             sensitivity=PowerDbm(-10.0), anchors=((-10.0, 2 * store.leakage_w),)
         ),
-        dcdc=hv.ColdStartConverter(),
         storage=store,
         load=None,
     )
@@ -115,7 +125,6 @@ def test_boot_never_happens_below_leakage():
         rectifier=hv.RectifierCurve(
             sensitivity=PowerDbm(-10.0), anchors=((-10.0, 0.5 * store.leakage_w),)
         ),
-        dcdc=hv.ColdStartConverter(),
         storage=store,
         load=None,
     )
@@ -207,20 +216,20 @@ def test_a_drained_battery_fires_after_a_full_operation_of_surplus(path):
     resumed, n_events = st.t_s, len(st.events)
     drive(-8.0, 0.5)
     fires = [t for t, e, _ in st.events[n_events:] if e == "sensor_fire"]
-    net = hv.transfer_power_w(PowerDbm(-8.0), cfg) - cfg.dcdc.quiescent_w
+    net = cfg.rectifier.output_w(PowerDbm(-8.0)) - cfg.storage.leakage_w
     assert fires[0] - resumed == pytest.approx(cfg.load.e_op_j / net, rel=1e-9)
     assert st.stored_j >= 0.0
     assert abs(ledger_residue(st)) <= 1e-9 * st.harvested_j
 
 
 @pytest.mark.parametrize("make", [hv.battery_temp_sensor, hv.battery_camera])
-@pytest.mark.parametrize("dbm", [-8.0, -18.0])  # above and below quiescent_w
+@pytest.mark.parametrize("dbm", [-8.0, -18.0])  # above and below leakage_w
 def test_battery_step_and_run_envelope_share_one_charging_rule(make, dbm):
     # one step and a run of a one-segment envelope at the same constant
     # input, from the same charged state, fire at the same evenly spaced
     # times and keep their ledgers closed
     cfg = make()
-    net = hv.transfer_power_w(PowerDbm(dbm), cfg) - cfg.dcdc.quiescent_w
+    net = cfg.rectifier.output_w(PowerDbm(dbm)) - cfg.storage.leakage_w
     assert (net > 0) == (dbm == -8.0)
     fires, states = [], []
     for path in ("step", "run_envelope"):
@@ -359,7 +368,7 @@ def _regime(name):
         segs = hv.duty_envelope([(PowerDbm(-30.0), 0.9)] * 3, period_s=0.010)
         st = hv.HarvesterState(stored_j=e_floor)
     else:  # no-load ceiling
-        cfg = hv.HarvesterConfig(cfg.rectifier, cfg.dcdc, cfg.storage, load=None)
+        cfg = hv.HarvesterConfig(cfg.rectifier, cfg.storage, load=None)
         st = hv.HarvesterState(stored_j=e_act, booted=True)
     return cfg, segs, st
 
@@ -371,7 +380,7 @@ def _regime(name):
 def test_segment_walk_equals_public_stepping(name):
     cfg, segs, walked = _regime(name)
     _, _, ref = _regime(name)
-    walk = [(dt, hv.transfer_power_w(p, cfg)) for dt, p in segs]
+    walk = [(dt, cfg.rectifier.output_w(p)) for dt, p in segs]
     period = sum(dt for dt, _ in segs)
     hv._walk(walked, cfg, walk, walked.t_s % period, period, hv._store_levels(cfg.storage))
     left = period
@@ -399,7 +408,7 @@ def test_step_books_a_stretch_shorter_than_the_walk_guard():
     # stepping its first piece, so a tiny `step` is still booked
     cfg = hv.battery_free_temp_sensor()
     st = hv.new_state(cfg)
-    w = hv.transfer_power_w(PowerDbm(-10.0), cfg)
+    w = cfg.rectifier.output_w(PowerDbm(-10.0))
     hv.step(st, PowerDbm(-10.0), 1e-16, cfg)
     assert st.t_s == 1e-16
     assert st.harvested_j == w * 1e-16
@@ -423,7 +432,6 @@ def test_max_operating_range_monotone_in_sensitivity():
     # same storage and loss budget, only the sensitivity differs
     better = hv.HarvesterConfig(
         rectifier=hv.BATTERY_RECTIFIER,
-        dcdc=hv.ColdStartConverter(),
         storage=hv.TEMP_SENSOR_STORE,
         load=hv.TEMP_SENSOR_LOAD,
     )
@@ -442,10 +450,7 @@ def _full_bisection_m(cfg, duty, channels, wall):
         for ch in channels:
             link = rf.LinkGeometry(Distance(d_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]), wall)
             chp.append((rf.received_power(eirp, GainDbi(2.0), link), duty))
-        mean_in = hv.mean_transfer_power_w(hv.duty_envelope(chp), cfg)
-        if isinstance(cfg.storage, hv.BatteryStore):
-            return mean_in - cfg.dcdc.quiescent_w > 0.0
-        return mean_in - cfg.storage.leakage_w > 0.0
+        return hv.mean_transfer_power_w(hv.duty_envelope(chp), cfg) - cfg.storage.leakage_w > 0.0
 
     assert sustainable(rf.MIN_RANGE_M) and not sustainable(100.0)
     lo, hi = rf.MIN_RANGE_M, 100.0

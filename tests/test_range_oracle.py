@@ -54,7 +54,7 @@ def old_duty_envelope(channel_power, period_s=hv.ENVELOPE_PERIOD_S):
 
 def old_output_w(curve, p_in):
     """`RectifierCurve.output_w` with its anchor table rebuilt per call."""
-    x = p_in.value - curve.matching_loss_db
+    x = p_in.value
     if x < curve.sensitivity.value:
         return 0.0
     xs = [a[0] for a in curve.anchors]
@@ -74,17 +74,13 @@ def old_output_w(curve, p_in):
 
 def reference_range_m(plan, cfg, g_rx, duty, channels, wall):
     eirp = fcc.plan_eirp(plan)
-    if isinstance(cfg.storage, hv.BatteryStore):
-        draw_w = cfg.dcdc.quiescent_w
-    else:
-        draw_w = cfg.storage.leakage_w
 
     def sustainable(d_m):
         chp = []
         for ch in channels:
             fspl = rf.fspl_db(Distance(d_m), Frequency(rf.CHANNEL_FREQ_HZ[ch]))
             chp.append((PowerDbm(eirp.value - (fspl + wall.attenuation_db) + g_rx.value), duty))
-        return hv.mean_transfer_power_w(old_duty_envelope(chp), cfg) - draw_w > 0.0
+        return hv.mean_transfer_power_w(old_duty_envelope(chp), cfg) - cfg.storage.leakage_w > 0.0
 
     lo, hi = rf.MIN_RANGE_M, 100.0
     if duty <= 0.0 or not sustainable(lo):
