@@ -16,11 +16,12 @@ while keeping every MAC metric frame-accurate.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional, Sequence
 
 from . import fcc, harvester as hv, mac, rf, router
@@ -617,12 +618,11 @@ def harvest_duty(
     return min(1.0, mac.on_air_us(trace, router_ids, phy_overhead_us) / trace.duration_us)
 
 
-def run(sc: Scenario) -> ReportSet:
-    """Execute a scenario deterministically and aggregate every metric."""
-    sc.validate()
-    specs, router_ids = build_stations(sc)
-    window_us = sc.effective_mac_window_s() * 1e6
-    traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
+def _channel_stage(sc: Scenario, specs: list[mac.StationSpec], router_ids: tuple[str, ...],
+                   traces: dict[int, mac.ChannelTrace], window_us: float) -> dict:
+    """The report fields that depend only on the MAC input, the two bin
+    widths and the router ids: one `mac.channel_sums` per channel, the
+    bins and means it gives, and the burst completions."""
     occ_bin_us = sc.occupancy_bin_ms * 1000.0
     tput_bin_us = sc.throughput_bin_ms * 1000.0
     sums = {ch: mac.channel_sums(tr, router_ids, occ_bin_us, tput_bin_us)
@@ -634,7 +634,6 @@ def run(sc: Scenario) -> ReportSet:
         if ch in sums:
             occ_bins[ch] = mac.bin_means(sums[ch].occupancy_us, occ_bin_us, window_us)
             occ_mean[ch] = sums[ch].payload_us / mac.window_length((0.0, window_us))
-    cumulative_mean = sum_in_order(occ_mean.values())
 
     flows = {f.name: f for s in specs for f in s.flows}
     throughput: dict[str, list[float]] = {}
@@ -651,6 +650,39 @@ def run(sc: Scenario) -> ReportSet:
             bursts[st.station_id] = router.burst_completion_times_ms(
                 traces[st.channel], fl.name, fl.interval_us, fl.frames_per_burst, fl.start_us,
             )
+    return dict(occupancy_bins=occ_bins, occupancy_mean=occ_mean,
+                cumulative_mean=sum_in_order(occ_mean.values()), throughput=throughput,
+                throughput_mean=tput_mean, burst_completions_ms=bursts)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _kept_stage(*key) -> dict:
+    """The channel stage kept for the last distinct key; `run` fills the
+    empty dict that a new key gets."""
+    return {}
+
+
+def _fresh(value):
+    """A copy of a kept stage value that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    return value[:] if isinstance(value, list) else value
+
+
+def run(sc: Scenario) -> ReportSet:
+    """Execute a scenario deterministically and aggregate every metric.
+    A run whose channel stage is kept recomputes only its harvesters."""
+    sc.validate()
+    specs, router_ids = build_stations(sc)
+    window_us = sc.effective_mac_window_s() * 1e6
+    traces = mac.run_mac(specs, duration_us=window_us, params=sc.mac_params, seed=sc.seed)
+    # keyed on the MAC input, the bin widths, the router ids and each station's
+    # traffic, since a burst and a CBR station can build equal flows
+    stage = _kept_stage(tuple(specs), window_us, sc.mac_params, sc.seed, sc.occupancy_bin_ms,
+                        sc.throughput_bin_ms, router_ids,
+                        tuple((s.station_id, s.channel, s.traffic) for s in sc.stations))
+    if not stage:
+        stage.update(reports=_channel_stage(sc, specs, router_ids, traces, window_us), duties={})
 
     power_stats = {s.channel: traces[s.channel].flow_stats[f.name]
                    for s in specs for f in s.flows if f.kind == "power_broadcast"}
@@ -658,9 +690,9 @@ def run(sc: Scenario) -> ReportSet:
     harv_events: dict[str, list[tuple[float, str, float]]] = {}
     harv_summary: dict[str, dict[str, float]] = {}
     eirp = fcc.plan_eirp(sc.router.tx_plan())
-    heard = sorted({ch for h in sc.harvesters for ch in h.channels if ch in traces})
-    duties = {ch: harvest_duty(traces[ch], router_ids, sc.mac_params.phy_overhead_us)
-              for ch in heard}
+    duties = stage["duties"]  # each summed on first need
+    for ch in {ch for h in sc.harvesters for ch in h.channels if ch in traces} - duties.keys():
+        duties[ch] = harvest_duty(traces[ch], router_ids, sc.mac_params.phy_overhead_us)
     for h in sc.harvesters:
         cfg = h.config()
         # a channel the router does not serve is silent
@@ -684,12 +716,7 @@ def run(sc: Scenario) -> ReportSet:
 
     return ReportSet(
         scenario=sc,
-        occupancy_bins=occ_bins,
-        occupancy_mean=occ_mean,
-        cumulative_mean=cumulative_mean,
-        throughput=throughput,
-        throughput_mean=tput_mean,
-        burst_completions_ms=bursts,
+        **_fresh(stage["reports"]),  # the caller's own, to change freely
         power_stats=power_stats,
         harvester_events=harv_events,
         harvester_summary=harv_summary,
@@ -733,10 +760,10 @@ def read_sweep_values(variable: str, raw: str) -> tuple:
 
 
 def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
-    """A copy of the scenario with one swept variable replaced."""
-    import copy
-
-    out = copy.deepcopy(sc)
+    """A copy of the scenario with one swept variable replaced. Every conf
+    holds only immutable values, so copying each one makes it independent."""
+    out = replace(sc, router=replace(sc.router), stations=[replace(s) for s in sc.stations],
+                  harvesters=[replace(h) for h in sc.harvesters])
     _, key, targets, needs = _SWEEPS[variable]
     confs = targets(out)
     if not confs:

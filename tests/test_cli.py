@@ -44,8 +44,10 @@ def test_run_seed_and_duration_overrides(tmp_path):
     out2 = tmp_path / "o2"
     assert cli.main(["run", cfg, "--out-dir", str(out1), "--seed", "9",
                      "--duration", "2"]) == 0
-    # run_mac keeps its last result: clear it so the second run simulates too
+    # run_mac and run keep their last results: clear both so the second
+    # run simulates and sums its channels too
     mac._simulate.cache_clear()
+    scenario._kept_stage.cache_clear()
     assert cli.main(["run", cfg, "--out-dir", str(out2), "--seed", "9",
                      "--duration", "2"]) == 0
     assert (out1 / "trace.txt").read_bytes() == (out2 / "trace.txt").read_bytes()

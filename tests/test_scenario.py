@@ -153,8 +153,10 @@ def test_run_reports_are_deterministic(tmp_path):
     sc1 = scenario.parse_scenario(MINIMAL)
     sc2 = scenario.parse_scenario(MINIMAL)
     rep1 = scenario.run(sc1)
-    # run_mac keeps its last result: clear it so the second run simulates too
+    # run_mac and run keep their last results: clear both so the second
+    # run simulates and sums its channels too
     mac._simulate.cache_clear()
+    scenario._kept_stage.cache_clear()
     rep2 = scenario.run(sc2)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
@@ -572,13 +574,97 @@ def test_sweep_wall_ordering():
 @pytest.mark.parametrize("variable, values, simulations", [
     ("distance", (4.0, 12.0, 24.0), 3),  # once per seed
     ("inter_packet_delay", (100.0, 400.0), 6),  # once per run
+    ("wall_material", ("none", "wooden_door", "double_sheetrock"), 3),  # once per seed
 ])
-def test_sweep_simulates_each_distinct_mac_input_once(variable, values, simulations):
+def test_sweep_simulates_each_distinct_mac_input_once(monkeypatch, variable, values, simulations):
     sc = scenario.load_scenario(scenario.bundled_config("temp_sensor_range.cfg"))
     sc.duration_s = 10.0
     sc.mac_window_s = 0.02
+    calls = []
+    real = mac.channel_sums
+    monkeypatch.setattr(mac, "channel_sums", lambda tr, *a: calls.append(tr.channel) or real(tr, *a))
     scenario.sweep(sc, scenario.SweepSpec(variable, values), seeds=(1, 2, 3))
     assert mac._simulate.cache_info().misses == simulations
+    # and the channel stage is summed once per channel of each simulated input
+    assert scenario._kept_stage.cache_info().misses == simulations
+    assert sorted(calls) == sorted(sc.router.channels * simulations)
+
+
+#: A run with every kind of stage field: CBR and burst flows, power
+#: broadcasts on three channels and a harvester.
+STAGE_CFG = MINIMAL + """
+[station web1]
+role = client
+channel = 6
+traffic = burst
+burst_bytes = 30000
+burst_on_ms = 100
+burst_off_ms = 100
+"""
+
+
+def stage_reports(tmp_path, name: str, **changes) -> tuple[scenario.ReportSet, dict]:
+    sc = scenario.parse_scenario(STAGE_CFG)
+    sc.mac_window_s = 0.5
+    for key, value in changes.items():
+        setattr(sc, key, value)
+    rep = scenario.run(sc)
+    rep.write_outputs(str(tmp_path / name))
+    return rep, {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+
+def test_a_kept_stage_writes_the_reports_of_a_cold_run(tmp_path):
+    _, first = stage_reports(tmp_path, "first")
+    rep, hit = stage_reports(tmp_path, "hit")
+    assert scenario._kept_stage.cache_info()[:2] == (1, 1)
+    assert rep.burst_completions_ms["web1"] and rep.throughput["client1"]
+    mac._simulate.cache_clear()
+    scenario._kept_stage.cache_clear()
+    _, cold = stage_reports(tmp_path, "cold")
+    assert len(cold) == 5 and hit == cold == first
+
+
+@pytest.mark.parametrize("change", [
+    dict(occupancy_bin_ms=100.0),
+    dict(throughput_bin_ms=100.0),
+    dict(router=scenario.RouterConf(channels=(6, 1))),
+], ids=["occupancy_bin", "throughput_bin", "router_channels"])
+def test_kept_stage_misses_when_a_bin_width_or_router_channel_changes(tmp_path, change):
+    stage_reports(tmp_path, "first")
+    _, changed = stage_reports(tmp_path, "changed", **change)
+    assert scenario._kept_stage.cache_info()[:2] == (0, 2)
+    mac._simulate.cache_clear()
+    scenario._kept_stage.cache_clear()
+    assert changed == stage_reports(tmp_path, "cold", **change)[1]
+
+
+def test_kept_stage_misses_when_only_a_station_traffic_changes():
+    # one 1500-byte frame every 2 ms is the same flow as 6 Mbps CBR
+    burst, cbr = (scenario.parse_scenario(
+        f"duration_s = 1\nseed = 3\n[router]\nchannels = 1\n[station c]\n{traffic}\n")
+        for traffic in ("traffic = burst\nburst_bytes = 1500\nburst_on_ms = 1\nburst_off_ms = 1",
+                        "traffic = udp_cbr\ntarget_mbps = 6"))
+    assert scenario.build_stations(burst) == scenario.build_stations(cbr)
+    assert scenario.run(burst).burst_completions_ms["c"]
+    assert scenario.run(cbr).burst_completions_ms == {}
+    assert scenario._kept_stage.cache_info()[:2] == (0, 2)
+
+
+def test_a_kept_stage_is_not_changed_through_a_report_set(tmp_path):
+    rep, want = stage_reports(tmp_path, "first")
+    for bins in rep.occupancy_bins.values():
+        bins[0] = 2.0
+    rep.throughput["client1"][0] = -1.0
+    rep.throughput["web1"].clear()
+    rep.burst_completions_ms["web1"].append(1e9)
+    rep.burst_completions_ms["web1"][0] = -5.0
+    for st in rep.power_stats.values():
+        st.admitted += 1000
+    rep.occupancy_mean.clear()
+    rep.throughput_mean["client1"] = 0.0
+    _, again = stage_reports(tmp_path, "again")
+    assert scenario._kept_stage.cache_info().hits == 1
+    assert again == want
 
 
 def test_sweep_rejects_unknown_variable():
