@@ -98,12 +98,11 @@ class RectifierCurve:
 class CapacitorStore:
     """Storage capacitor with a constant leakage draw.
 
-    Leakage pulls the store down toward v_floor during silent periods
-    and never below it. Stored energy is the usual C V^2 / 2.
+    Leakage pulls the store down toward empty (0 V) during silent
+    periods and never below it. Stored energy is the usual C V^2 / 2.
     """
 
     capacitance_f: float
-    v_floor: float = 0.0
     v_cutoff: float = 1.9
     v_activate: float = 2.4
     leakage_w: float = 4.3e-6
@@ -111,8 +110,8 @@ class CapacitorStore:
     def __post_init__(self) -> None:
         if self.capacitance_f <= 0:
             raise ValueError("capacitance must be > 0")
-        if not (self.v_floor <= self.v_cutoff < self.v_activate):
-            raise ValueError("need v_floor <= v_cutoff < v_activate")
+        if not (0.0 <= self.v_cutoff < self.v_activate):
+            raise ValueError("need 0 <= v_cutoff < v_activate")
         if self.leakage_w < 0:
             raise ValueError("leakage must be >= 0")
 
@@ -157,7 +156,7 @@ class SensorLoad:
 class HarvesterConfig:
     rectifier: RectifierCurve
     storage: StorageElement
-    load: Optional[SensorLoad] = None
+    load: SensorLoad
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +179,7 @@ CAMERA_LOAD = SensorLoad(e_op_j=10.4e-3)
 
 #: Temperature-sensor storage: capacitance is not dictated by the part
 #: list, picked so a full boot store dwarfs the 2.77 uJ per operation.
-TEMP_SENSOR_STORE = CapacitorStore(
-    capacitance_f=100e-6, v_floor=0.0, v_cutoff=1.9, v_activate=2.4
-)
+TEMP_SENSOR_STORE = CapacitorStore(capacitance_f=100e-6, v_cutoff=1.9, v_activate=2.4)
 
 #: Camera storage: 6.8 mF super-capacitor, buck active from 3.1 V down
 #: to 2.4 V, so one activation banks 0.5 * 6.8 mF * (3.1^2 - 2.4^2)
@@ -190,7 +187,7 @@ TEMP_SENSOR_STORE = CapacitorStore(
 #: standby draw of the camera's buck stage shortens its battery-free
 #: range relative to the temperature sensor (fitted).
 CAMERA_STORE = CapacitorStore(
-    capacitance_f=6.8e-3, v_floor=0.0, v_cutoff=2.4, v_activate=3.1,
+    capacitance_f=6.8e-3, v_cutoff=2.4, v_activate=3.1,
     leakage_w=6.0e-6,
 )
 
@@ -250,9 +247,9 @@ class HarvesterState:
 
     The energy ledger satisfies, exactly by construction:
         harvested = delta(stored) + consumed + leaked + curtailed
-    where curtailed is input discarded while the store is pinned at its
-    activation ceiling (only possible with no load attached) or a full
-    battery. `counts` counts each event kind as it is logged to `events`.
+    where curtailed is input discarded while a capacitor is pinned at its
+    activation ceiling (during a boot delay) or a battery is full.
+    `counts` counts each event kind as it is logged to `events`.
     """
 
     t_s: float = 0.0
@@ -309,13 +306,9 @@ def step(
 
 
 def _store_levels(store: CapacitorStore) -> tuple[float, float, float]:
-    """Stored energy (e_floor, e_cut, e_act) at the floor, cutoff and
-    activation voltages."""
-    return (
-        store.energy_j(store.v_floor),
-        store.energy_j(store.v_cutoff),
-        store.energy_j(store.v_activate),
-    )
+    """Stored energy (e_floor, e_cut, e_act) at the floor (0 V), cutoff
+    and activation voltages."""
+    return 0.0, store.energy_j(store.v_cutoff), store.energy_j(store.v_activate)
 
 
 def _charge_battery(
@@ -336,19 +329,17 @@ def _charge_battery(
         state.t_s += dt
         return
     state.leaked_j += store.leakage_w * dt
-    charge = state.stored_j + net * dt
-    if cfg.load is not None:
-        e_op = cfg.load.e_op_j
-        surplus = state._fire_surplus_j + net * dt
-        n_fires = int(surplus / e_op)
-        t_first = state.t_s + (e_op - state._fire_surplus_j) / net
-        dt_fire = e_op / net
-        state.events.extend(
-            (t_first + i * dt_fire, "sensor_fire", store.voltage) for i in range(n_fires))
-        state.counts["sensor_fire"] += n_fires
-        state.consumed_j += n_fires * e_op
-        state._fire_surplus_j = surplus - n_fires * e_op
-        charge -= n_fires * e_op
+    e_op = cfg.load.e_op_j
+    surplus = state._fire_surplus_j + net * dt
+    n_fires = int(surplus / e_op)
+    t_first = state.t_s + (e_op - state._fire_surplus_j) / net
+    dt_fire = e_op / net
+    state.events.extend(
+        (t_first + i * dt_fire, "sensor_fire", store.voltage) for i in range(n_fires))
+    state.counts["sensor_fire"] += n_fires
+    state.consumed_j += n_fires * e_op
+    state._fire_surplus_j = surplus - n_fires * e_op
+    charge = state.stored_j + net * dt - n_fires * e_op
     if charge > store.capacity_j:
         state.curtailed_j += charge - store.capacity_j
         charge = store.capacity_j
@@ -363,7 +354,6 @@ def _fire(
     """Consume one operation's energy from a capacitor store holding
     `e` joules; returns the store's new (e, booted)."""
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    assert cfg.load is not None
     e_floor, e_cut, _ = levels
     new_e = max(e_floor, e - cfg.load.e_op_j)
     state.consumed_j += e - new_e
@@ -393,8 +383,9 @@ def _walk(
     crossing rule books the stretch up to the level, or to the end of
     its piece; only the event at the level differs (boot or fire,
     brown-out). A store pinned at the floor, or with no net input,
-    holds to the end of the piece, and one held at activation with
-    nothing to boot or fire curtails its surplus. This is the innermost
+    holds to the end of the piece. A store held at activation curtails
+    its surplus: through a boot delay, and after a fire too light to move
+    it (under the 1e-21 J activation tolerance). This is the innermost
     loop of `run_envelope`, so the clock, the store, the ledger terms,
     `booted` and a pending boot stay in locals for the whole walk.
     """
@@ -477,9 +468,8 @@ def _walk(
             elif not booted:
                 booted = True
                 state.log(t, "boot", store.voltage(e))
-                if cfg.load is not None:
-                    pending = t + cfg.load.boot_time_s
-            elif cfg.load is not None:
+                pending = t + cfg.load.boot_time_s
+            else:
                 e, booted = _fire(state, t, e, booted, cfg, levels)
             if at_ceiling and pending is None and e >= e_top:
                 # Pinned at the ceiling; surplus is curtailed.
@@ -609,7 +599,7 @@ def run_envelope(
     `step` uses too: a pending boot, and a start or a train's end in
     mid-period, walk to the next boundary. From a boundary it takes:
 
-    - A fire train, for a booted store with a load, `d_period > 0` and
+    - A fire train, for a booted store with `d_period > 0` and
       no way to reach the cutoff before its first fire (e + min(C)) or
       after any (`e_act - e_op + min(C) - max(C)`). Each next fire is
       the first instant the net energy gained reaches what the store
@@ -652,9 +642,8 @@ def run_envelope(
     levels = _store_levels(store)
     e_floor, e_cut, e_act = levels
     eps = 1e-18
-    e_op = cfg.load.e_op_j if cfg.load is not None else 0.0
-    trains = (cfg.load is not None and d_period > 0
-              and e_act - e_op + c_min - c_max > e_cut + eps)
+    e_op = cfg.load.e_op_j
+    trains = d_period > 0 and e_act - e_op + c_min - c_max > e_cut + eps
     v_fire = store.voltage(e_act - e_op)
     events = state.events
 

@@ -96,7 +96,6 @@ class MacParams:
 
     slot_us: float = 9.0
     sifs_us: float = 10.0
-    difs_us: float = 28.0
     cw_min: int = 15
     cw_max: int = 1023
     phy_overhead_us: float = 24.0
@@ -110,13 +109,16 @@ class MacParams:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if self.slot_us == 0.0:
             raise ConfigError("slot_us must be > 0")
-        if self.difs_us != self.sifs_us + 2 * self.slot_us:
-            raise ConfigError("difs must equal sifs + 2*slot")
         for name, v in (("cw_min", self.cw_min), ("cw_max", self.cw_max)):
             if v < 1 or (v & (v + 1)) != 0:
                 raise ConfigError(f"{name} must be one less than a power of two")
         if self.cw_max < self.cw_min:
             raise ConfigError("cw_max must be >= cw_min")
+
+    @property
+    def difs_us(self) -> float:
+        """DIFS: SIFS plus two slots."""
+        return self.sifs_us + 2 * self.slot_us
 
 
 def payload_airtime_us(size_bytes: int, rate_mbps: float) -> float:
@@ -177,15 +179,10 @@ class ChannelTrace:
     frame. `records` reads the frames back as FrameRecords.
     """
 
-    def __init__(
-        self,
-        channel: int,
-        duration_us: float,
-        flow_stats: Optional[dict[str, FlowStats]] = None,
-    ):
+    def __init__(self, channel: int, duration_us: float):
         self.channel = channel
         self.duration_us = duration_us
-        self.flow_stats: dict[str, FlowStats] = {} if flow_stats is None else flow_stats
+        self.flow_stats: dict[str, FlowStats] = {}
         self.starts = array("d")
         self.codes = array("I")  # one code per frame fits even if every row differs
         self.rows: list[FrameRow] = []
@@ -205,9 +202,8 @@ class ChannelTrace:
 
     def copy(self) -> "ChannelTrace":
         """A trace equal to this one that shares nothing mutable with it."""
-        out = ChannelTrace(self.channel, self.duration_us, flow_stats={
-            name: replace(st) for name, st in self.flow_stats.items()
-        })
+        out = ChannelTrace(self.channel, self.duration_us)
+        out.flow_stats = {name: replace(st) for name, st in self.flow_stats.items()}
         out.starts = self.starts[:]
         out.codes = self.codes[:]
         out.rows = self.rows[:]

@@ -89,35 +89,39 @@ def throughput_series(
 
 
 def burst_completion_times_ms(
-    trace: mac.ChannelTrace, flow: str, period_us: float, frames_per_burst: int,
-    start_us: float = 0.0,
+    trace: mac.ChannelTrace, spec: mac.FlowSpec, retry_limit: int
 ) -> list[float]:
-    """Completion time of each fully delivered burst, in milliseconds.
+    """Completion time of each fully delivered burst of the unicast flow
+    `spec`, in milliseconds, from one pass over the trace.
 
-    Burst k is issued at start + k*period, as the engine times it, and
-    completes when its last frame finishes; bursts the run cut off
-    before completion are skipped.
+    A station keeps its head frame until it is delivered or lost, so a
+    flow's frames finish in issue order, each in one delivery or in
+    `retry_limit` + 1 collisions. Burst k, issued at start + k*period,
+    is finished frames k*n to k*n + n - 1 (n frames per burst) and
+    completes when its last frame ends; a burst that lost a frame, or
+    that the run cut off, is skipped.
     """
-    if period_us <= 0 or frames_per_burst < 1:
-        raise ConfigError("burst period and size must be positive")
-    busy = [
-        row.busy_time_us if row.flow == flow and row.outcome == "delivered" else None
-        for row in trace.rows
-    ]
-    done: dict[int, tuple[int, float]] = {}  # burst -> (frames delivered, last end)
-    delivered = 0
-    for t, c in zip(trace.starts, trace.codes):
-        if busy[c] is None:
-            continue
-        # Frames of burst k are issued together; attribute by
-        # issue order since delivery order preserves FIFO within a flow.
-        burst_idx = delivered // frames_per_burst
-        delivered += 1
-        prev = done.get(burst_idx, (0, 0.0))
-        done[burst_idx] = (prev[0] + 1, max(prev[1], t + busy[c]))
+    n = spec.frames_per_burst
+    # per code: None for another flow's frames, else (busy time, delivered)
+    per_code = [(row.busy_time_us, row.outcome == "delivered") if row.flow == spec.name
+                else None for row in trace.rows]
     out = []
-    for k in sorted(done):
-        n, end = done[k]
-        if n == frames_per_burst:
-            out.append((end - (start_us + k * period_us)) / 1000.0)
+    finished = collisions = 0
+    whole = True  # no frame of the burst so far was lost
+    for t, c in zip(trace.starts, trace.codes):
+        frame = per_code[c]
+        if frame is None:
+            continue
+        if not frame[1]:
+            collisions += 1
+            if collisions <= retry_limit:
+                continue
+            whole = False
+        collisions = 0
+        finished += 1
+        if finished % n == 0:
+            if whole:
+                k = finished // n - 1
+                out.append((t + frame[0] - (spec.start_us + k * spec.interval_us)) / 1000.0)
+            whole = True
     return out

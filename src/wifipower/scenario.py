@@ -28,7 +28,6 @@ from . import fcc, harvester as hv, mac, rf, router
 from .errors import ConfigError, TraceFormatError
 from .units import METERS_PER_FOOT, GainDbi, PowerDbm, sum_in_order
 
-DEFAULT_MAC_WINDOW_S = 60.0
 #: Most report bins a bin key may ask for over the MAC window.
 MAX_BINS = 10**6
 ENVELOPE_PERIOD_S = hv.ENVELOPE_PERIOD_S
@@ -176,7 +175,7 @@ class HarvesterConf:
                 f"(choose from {sorted(hv.PRESETS)})"
             )
         # the range search's floor; much closer the link budget overflows
-        if self.distance_m < rf.MIN_RANGE_M:
+        if not rf.MIN_RANGE_M <= self.distance_m < math.inf:
             raise ConfigError(
                 f"harvester {self.harvester_id!r}: distance must be >= {rf.MIN_RANGE_M} m"
             )
@@ -200,7 +199,7 @@ class Scenario:
     stations: list[StationConf] = field(default_factory=list)
     harvesters: list[HarvesterConf] = field(default_factory=list)
     mac_params: mac.MacParams = field(default_factory=mac.MacParams)
-    mac_window_s: Optional[float] = None
+    mac_window_s: float = 60.0
     occupancy_bin_ms: float = 500.0
     throughput_bin_ms: float = 500.0
 
@@ -209,7 +208,7 @@ class Scenario:
             raise ConfigError("seed is mandatory")
         for name in ("duration_s", "mac_window_s", "occupancy_bin_ms", "throughput_bin_ms"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
+            if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
         # past ~2**52 envelope periods, consecutive period starts stop being distinct
         if self.duration_s / ENVELOPE_PERIOD_S >= 2**52:
@@ -241,9 +240,7 @@ class Scenario:
             raise ConfigError("EqualShare needs a neighbor station or explicit rate")
 
     def effective_mac_window_s(self) -> float:
-        if self.mac_window_s is not None:
-            return min(self.mac_window_s, self.duration_s)
-        return min(DEFAULT_MAC_WINDOW_S, self.duration_s)
+        return min(self.mac_window_s, self.duration_s)
 
     def share_rate_mbps(self) -> Optional[float]:
         """EqualShare's rate: the router's, else the fastest neighbor's."""
@@ -316,6 +313,12 @@ _SECTION_KEYS = {
 }
 
 
+def _conf_field(key: str, value) -> tuple[str, object]:
+    """The conf field a section key sets, and its value: `distance_ft`
+    sets `distance_m`, and every other key its own field."""
+    return ("distance_m", value * METERS_PER_FOOT) if key == "distance_ft" else (key, value)
+
+
 def _build_section(name: str, sid: Optional[str], keys: dict):
     """The conf object of one section, validated as far as it alone can be."""
     if name == "mac":
@@ -325,13 +328,9 @@ def _build_section(name: str, sid: Optional[str], keys: dict):
     elif name == "station":
         conf = StationConf(sid, **keys)
     else:
-        if "distance_ft" in keys:
-            if "distance_m" in keys:
-                raise ConfigError(
-                    f"harvester {sid!r}: give distance_ft or distance_m, not both"
-                )
-            keys["distance_m"] = keys.pop("distance_ft") * METERS_PER_FOOT
-        conf = HarvesterConf(sid, **keys)
+        if "distance_ft" in keys and "distance_m" in keys:
+            raise ConfigError(f"harvester {sid!r}: give distance_ft or distance_m, not both")
+        conf = HarvesterConf(sid, **dict(_conf_field(k, v) for k, v in keys.items()))
     conf.validate()
     return conf
 
@@ -343,8 +342,8 @@ def parse_scenario(text: str) -> Scenario:
     """
     top: dict = {}
     keys, section = top, None
-    # (name, id, header line, keys) of each section, in file order
-    sections: list[tuple[str, Optional[str], int, dict]] = []
+    # (name, id) -> (header line, keys) of each section, in file order
+    sections: dict[tuple[str, Optional[str]], tuple[int, dict]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -364,18 +363,16 @@ def parse_scenario(text: str) -> Scenario:
                         f"line {lineno}: {section} id {sid!r} may hold only "
                         f"letters, digits, '_', '.' and '-'"
                     )
-                for other, other_id, other_line, _ in sections:
-                    if (other, other_id) == (section, sid):
-                        raise ConfigError(
-                            f"line {lineno}: {section} id {sid!r} is already "
-                            f"used at line {other_line}"
-                        )
             elif sid is not None:
                 raise ConfigError(f"line {lineno}: section [{section}] takes no id")
-            elif any(s[0] == section for s in sections):
-                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            if (section, sid) in sections:
+                raise ConfigError(
+                    f"line {lineno}: duplicate section [{section}]" if sid is None else
+                    f"line {lineno}: {section} id {sid!r} is already used at line "
+                    f"{sections[section, sid][0]}"
+                )
             keys = {}
-            sections.append((section, sid, lineno, keys))
+            sections[section, sid] = (lineno, keys)
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
@@ -397,7 +394,7 @@ def parse_scenario(text: str) -> Scenario:
         if key not in top:
             raise ConfigError(f"missing mandatory key {key!r}")
     confs: dict = {"stations": [], "harvesters": []}
-    for name, sid, lineno, data in sections:
+    for (name, sid), (lineno, data) in sections.items():
         try:
             conf = _build_section(name, sid, data)
         except ConfigError as exc:
@@ -408,7 +405,7 @@ def parse_scenario(text: str) -> Scenario:
             confs[name + "s"].append(conf)
     sc = Scenario(**top, **confs)
     router_ids = sc.router.station_ids()
-    for name, sid, lineno, _ in sections:
+    for (name, sid), (lineno, _) in sections.items():
         if name == "station" and sid in router_ids:
             raise ConfigError(f"line {lineno}: station id {sid!r} is taken by the router")
     sc.validate()
@@ -646,10 +643,8 @@ def _channel_stage(sc: Scenario, specs: list[mac.StationSpec], router_ids: tuple
         throughput[st.station_id] = mac.bin_means(bits, tput_bin_us, window_us)
         tput_mean[st.station_id] = sum_in_order(bits) / window_us  # bits per us == Mbps
         if st.traffic == "burst":
-            fl = flows[st.station_id]
             bursts[st.station_id] = router.burst_completion_times_ms(
-                traces[st.channel], fl.name, fl.interval_us, fl.frames_per_burst, fl.start_us,
-            )
+                traces[st.channel], flows[st.station_id], sc.mac_params.retry_limit)
     return dict(occupancy_bins=occ_bins, occupancy_mean=occ_mean,
                 cumulative_mean=sum_in_order(occ_mean.values()), throughput=throughput,
                 throughput_mean=tput_mean, burst_completions_ms=bursts)
@@ -744,39 +739,42 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
 
 
-def read_sweep_values(variable: str, raw: str) -> tuple:
-    """Comma-separated sweep values, each read as the config key `variable`
-    stands for reads it, so it meets that key's rule; `run` validates the
-    scenario it goes into. A wall keeps the name the sweep CSV prints."""
+def _read_sweep_value(variable: str, value):
+    """`value` read as the config key `variable` stands for reads it, so it
+    meets that key's rule; `run` validates the scenario it goes into."""
     section, key, _, _ = _SWEEPS[variable]
+    try:
+        return _SECTION_KEYS[section][key](value)
+    except ValueError as exc:
+        raise ConfigError(f"sweep value {value!r} for {variable}: {exc}") from None
+
+
+def read_sweep_values(variable: str, raw: str) -> tuple:
+    """Comma-separated sweep values, each read by `_read_sweep_value`. A
+    wall keeps the name the sweep CSV prints."""
     values = []
     for tok in filter(None, map(str.strip, raw.split(","))):
-        try:
-            value = _SECTION_KEYS[section][key](tok)
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {tok!r} for {variable}: {exc}") from None
+        value = _read_sweep_value(variable, tok)
         values.append(tok if isinstance(value, rf.WallMaterial) else value)
     return tuple(values)
 
 
 def apply_sweep_value(sc: Scenario, variable: str, value) -> Scenario:
-    """A copy of the scenario with one swept variable replaced. Every conf
-    holds only immutable values, so copying each one makes it independent."""
+    """A copy of the scenario with one swept variable set as its config key
+    sets it (`_read_sweep_value`). Every conf holds only immutable values,
+    so copying each one makes it independent."""
     out = replace(sc, router=replace(sc.router), stations=[replace(s) for s in sc.stations],
                   harvesters=[replace(h) for h in sc.harvesters])
     _, key, targets, needs = _SWEEPS[variable]
     confs = targets(out)
     if not confs:
         raise ConfigError(f"{variable} sweep needs {needs}")
+    value = _read_sweep_value(variable, value)
     for conf in confs:
-        if variable == "distance":
-            conf.distance_m = float(value) * METERS_PER_FOOT  # values in feet
-        elif variable == "wall_material":
-            conf.wall = rf.WallMaterial(str(value))
-        elif variable == "neighbor_load":
-            conf.target_mbps *= float(value)
+        if variable == "neighbor_load":
+            conf.target_mbps *= value
         else:
-            setattr(conf, key, float(value))
+            setattr(conf, *_conf_field(key, value))
     return out
 
 

@@ -531,9 +531,10 @@ def test_window_shorter_than_a_bin_reads_its_own_length(tmp_path):
     (BASIC + "[station router_ch6]\nrole = neighbor_ap\nchannel = 6\n", 8,
      "station id 'router_ch6' is taken by the router"),
     (BASIC + "[harvester h1]\n[harvester h1]\n", 9, "harvester id 'h1' is already used at line 8"),
+    (BASIC + "[mac]\n[mac]\n", 9, "duplicate section [mac]"),
 ], ids=["top_key_twice", "router_key_twice", "rate_under_powifi", "rate_without_scheme",
         "harvester_without_channels", "station_id_twice", "station_id_of_the_router",
-        "harvester_id_twice"])
+        "harvester_id_twice", "mac_twice"])
 def test_config_findings_exit_2_with_their_line(tmp_path, capsys, text, line, message):
     rc = cli.main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "x")])
     assert rc == 2

@@ -85,7 +85,7 @@ def reference_capacitor(cfg, segments, duration_s, t0, e0, booted, pending):
     store, load = cfg.storage, cfg.load
     e_floor, e_cut, e_act = (
         store.capacitance_f * v * v / 2
-        for v in (store.v_floor, store.v_cutoff, store.v_activate)
+        for v in (0.0, store.v_cutoff, store.v_activate)
     )
     leak = store.leakage_w
     watts = [cfg.rectifier.output_w(p) for _, p in segments]
@@ -132,11 +132,6 @@ def reference_capacitor(cfg, segments, duration_s, t0, e0, booted, pending):
                         booted = fire(base + x, booted)
                     continue
                 if net > 0:
-                    if e.to(e_act) <= 0 and booted and load is None:
-                        book(w, b - x, 0.0)
-                        led.curtailed += net * (b - x)
-                        x = b
-                        continue
                     x_hit = x + max(0.0, e.to(e_act)) / net
                     if x_hit >= b:
                         book(w, b - x, net)
@@ -148,9 +143,8 @@ def reference_capacitor(cfg, segments, duration_s, t0, e0, booted, pending):
                     if not booted:
                         booted = True
                         events.append((base + x, "boot", store.voltage(e_act)))
-                        if load is not None:
-                            pending = base + x + load.boot_time_s
-                    elif load is not None:
+                        pending = base + x + load.boot_time_s
+                    else:
                         booted = fire(base + x, booted)
                     continue
                 if net < 0 and e.to(e_floor) < 0:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -94,21 +93,22 @@ def test_step_decay_never_negative():
     e0 = store.energy_j(2.0)
     st = hv.HarvesterState(stored_j=e0)
     hv.step(st, PowerDbm(-60.0), 1e6, cfg)
-    assert st.stored_j == pytest.approx(store.energy_j(store.v_floor), abs=1e-18)
+    assert st.stored_j == pytest.approx(0.0, abs=1e-18)
     assert st.v_store(cfg) >= 0.0
     assert abs(ledger_residue(st, e0)) < 1e-12
 
 
 def test_step_charge_time_oracle():
     # constant transfer of twice the leakage: net equals leakage, so the
-    # boot instant is exactly E_activate / leakage
+    # boot instant is exactly E_activate / leakage (the load fires only
+    # after it)
     store = hv.TEMP_SENSOR_STORE
     cfg = hv.HarvesterConfig(
         rectifier=hv.RectifierCurve(
             sensitivity=PowerDbm(-10.0), anchors=((-10.0, 2 * store.leakage_w),)
         ),
         storage=store,
-        load=None,
+        load=hv.TEMP_SENSOR_LOAD,
     )
     st = hv.new_state(cfg)
     t_boot = store.energy_j(store.v_activate) / store.leakage_w
@@ -126,28 +126,12 @@ def test_boot_never_happens_below_leakage():
             sensitivity=PowerDbm(-10.0), anchors=((-10.0, 0.5 * store.leakage_w),)
         ),
         storage=store,
-        load=None,
+        load=hv.TEMP_SENSOR_LOAD,
     )
     st = hv.new_state(cfg)
     hv.step(st, PowerDbm(-10.0), 86400.0, cfg)
     assert st.counts["boot"] == 0
     assert not st.booted
-
-
-@pytest.mark.parametrize("start", [1.0, 0.999999])
-def test_a_no_load_store_at_its_ceiling_boots(start):
-    # an unbooted store with no load boots at activation whether it starts
-    # a stretch exactly there or a hair below it, then curtails the rest
-    cfg = dataclasses.replace(hv.battery_free_temp_sensor(), load=None)
-    e_act = hv._store_levels(cfg.storage)[2]
-    st = hv.HarvesterState(stored_j=start * e_act)
-    hv.step(st, PowerDbm(-5.0), 1.0, cfg)
-    assert [e for _, e, _ in st.events] == ["boot"]
-    assert st.events[0][0] <= 1e-5
-    assert st.booted
-    assert st.stored_j == e_act
-    assert st.curtailed_j > 0.0
-    assert abs(ledger_residue(st, start * e_act)) <= 1e-9 * st.harvested_j
 
 
 def test_camera_activation_energy_and_single_fire():
@@ -364,18 +348,15 @@ def _regime(name):
     elif name == "booted_near_cutoff":
         segs = hv.duty_envelope([(PowerDbm(-60.0), 0.3)] * 3, period_s=0.010)
         st = hv.HarvesterState(stored_j=e_cut * (1 + 1e-6), booted=True)
-    elif name == "floor_below_sensitivity":
+    else:  # floor below sensitivity
         segs = hv.duty_envelope([(PowerDbm(-30.0), 0.9)] * 3, period_s=0.010)
         st = hv.HarvesterState(stored_j=e_floor)
-    else:  # no-load ceiling
-        cfg = hv.HarvesterConfig(cfg.rectifier, cfg.storage, load=None)
-        st = hv.HarvesterState(stored_j=e_act, booted=True)
     return cfg, segs, st
 
 
 @pytest.mark.parametrize("name", [
     "cold", "mid_charge", "boot_pending_across_edge", "booted_near_cutoff",
-    "floor_below_sensitivity", "no_load_ceiling",
+    "floor_below_sensitivity",
 ])
 def test_segment_walk_equals_public_stepping(name):
     cfg, segs, walked = _regime(name)
@@ -398,7 +379,6 @@ def test_segment_walk_equals_public_stepping(name):
         "boot_pending_across_edge": kinds == ["sensor_fire"],
         "booted_near_cutoff": kinds == ["brown_out"],
         "floor_below_sensitivity": walked.harvested_j == 0.0 and walked.stored_j == 0.0,
-        "no_load_ceiling": walked.curtailed_j > 0.0,
     }
     assert expect[name], (name, walked)
 

@@ -341,8 +341,9 @@ def test_station_substreams_independent_of_other_channels():
 
 
 def test_mac_params_invariants():
-    with pytest.raises(ConfigError):
-        mac.MacParams(difs_us=30.0)
+    # DIFS is SIFS plus two slots, whatever the slot
+    assert mac.MacParams().difs_us == 28.0
+    assert mac.MacParams(slot_us=20.0).difs_us == 50.0  # the 802.11b slot
     with pytest.raises(ConfigError):
         mac.MacParams(cw_min=14)
 

@@ -106,7 +106,7 @@ def test_burst_completion_times():
                         interval_us=500_000.0)
     st = mac.StationSpec("r", 1, flows=(flow,), is_ap=True)
     tr = mac.run_mac([st], duration_us=5e6, seed=6)[1]
-    comps = router.burst_completion_times_ms(tr, "web", 500_000.0, 20)
+    comps = router.burst_completion_times_ms(tr, flow, 7)
     assert len(comps) == 10
     # a 20-frame burst at 54 Mbps takes on the order of 8 ms alone
     assert all(5.0 < c < 15.0 for c in comps)
@@ -120,10 +120,32 @@ def test_burst_completion_times_count_from_the_burst_start():
         flow = mac.FlowSpec(name="web", kind="client_data", rate_mbps=54.0,
                             frames_per_burst=20, interval_us=500_000.0, start_us=start_us)
         tr = mac.run_mac([mac.StationSpec("r", 1, flows=(flow,))], duration_us=2e6, seed=6)[1]
-        comps[start_us] = router.burst_completion_times_ms(tr, "web", 500_000.0, 20, start_us)
+        comps[start_us] = router.burst_completion_times_ms(tr, flow, 7)
     assert len(comps[0.0]) == 4
     assert all(5.0 < c < 15.0 for c in comps[50_000.0])
     assert comps[50_000.0] == pytest.approx(comps[0.0], abs=1e-9)
+
+
+def test_a_burst_that_lost_a_frame_is_skipped():
+    # two-frame bursts every 1000 us with one retry: the first frame takes
+    # two collisions and is lost, so burst 0 is frames 0-1 and never
+    # completes; burst 1 is frames 2-3, done at 1300 us; burst 2 is cut off
+    flow = mac.FlowSpec(name="web", kind="client_data", frames_per_burst=2,
+                        interval_us=1000.0)
+
+    def frame(t, outcome, flow="web"):
+        return mac.FrameRecord(t, 1, "r", "client_data", 1500, 54.0, outcome, 222.2,
+                               100.0, flow)
+
+    tr = trace_of(1, 3000.0, [
+        frame(100.0, "collided"), frame(300.0, "collided"), frame(400.0, "delivered", "other"),
+        frame(500.0, "delivered"), frame(1000.0, "delivered"), frame(1200.0, "delivered"),
+        frame(2000.0, "delivered"), frame(2200.0, "collided"),
+    ])
+    assert router.burst_completion_times_ms(tr, flow, 1) == [pytest.approx(0.3)]
+    # with two retries the first frame's third try is delivered at 500 us,
+    # so bursts 0 and 1 end at 1100 and 2100 us
+    assert router.burst_completion_times_ms(tr, flow, 2) == [pytest.approx(1.1)] * 2
 
 
 def test_engine_gates_through_the_same_rule(monkeypatch):

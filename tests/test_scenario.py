@@ -86,7 +86,7 @@ def test_section_keys_are_the_fields_of_each_conf():
                     "burst_bytes", "burst_on_ms", "burst_off_ms", "start_ms"},
         "harvester": {"kind", "distance_m", "distance_ft", "wall", "g_rx_dbi",
                       "channels"},
-        "mac": {"slot_us", "sifs_us", "difs_us", "cw_min", "cw_max",
+        "mac": {"slot_us", "sifs_us", "cw_min", "cw_max",
                 "phy_overhead_us", "ack_airtime_us", "retry_limit"},
     }
 
@@ -96,23 +96,32 @@ def test_a_field_without_a_reader_has_no_key():
         scenario._keys(scenario.HarvesterConf)
 
 
-@pytest.mark.parametrize("section, message", [
-    ("[station c2]\nrole = client\nstart_ms = -10", "station 'c2': start_ms must be >= 0"),
-    ("[station c2]\nrole = relay", "station 'c2': unknown role 'relay'"),
-    ("[harvester h2]\nkind = toaster", "harvester 'h2': unknown kind 'toaster'"),
-    ("[harvester h2]\ndistance_ft = 3\ndistance_m = 1",
+@pytest.mark.parametrize("section, below, message", [
+    ("[station c2]\nrole = client\nstart_ms = -10", 0, "station 'c2': start_ms must be >= 0"),
+    ("[station c2]\nrole = relay", 0, "station 'c2': unknown role 'relay'"),
+    ("[harvester h2]\nkind = toaster", 0, "harvester 'h2': unknown kind 'toaster'"),
+    ("[harvester h2]\ndistance_ft = 3\ndistance_m = 1", 0,
      "harvester 'h2': give distance_ft or distance_m, not both"),
-    ("[mac]\nslot_us = 8", "difs must equal sifs + 2*slot"),
-    ("[mac]\nphy_overhead_us = -500", "phy_overhead_us must be finite and >= 0"),
-    ("[mac]\nslot_us = 0\nsifs_us = 28", "slot_us must be > 0"),
-    ("[mac x]", "section [mac] takes no id"),
+    # DIFS is not a key: it is always SIFS plus two slots
+    ("[mac]\ndifs_us = 28", 1, "unknown key 'difs_us' in [mac]"),
+    ("[mac]\nphy_overhead_us = -500", 0, "phy_overhead_us must be finite and >= 0"),
+    ("[mac]\nslot_us = 0\nsifs_us = 28", 0, "slot_us must be > 0"),
+    ("[mac x]", 0, "section [mac] takes no id"),
 ], ids=["start_ms", "role", "kind", "two_distances", "mac", "mac_negative_phy",
         "mac_zero_slot", "mac_id"])
-def test_section_errors_carry_the_header_line(section, message):
+def test_section_errors_carry_the_header_line(section, below, message):
+    # a section's errors carry its header line, and an unknown key the
+    # line `below` it that holds the key
     header = MINIMAL.count("\n") + 2
     with pytest.raises(ConfigError) as exc:
         scenario.parse_scenario(MINIMAL + "\n" + section + "\n")
-    assert str(exc.value).startswith(f"line {header}: {message}")
+    assert str(exc.value).startswith(f"line {header + below}: {message}")
+
+
+def test_a_mac_section_may_set_only_the_slot():
+    # the 802.11b slot; DIFS follows it
+    sc = scenario.parse_scenario(MINIMAL + "\n[mac]\nslot_us = 20\n")
+    assert sc.mac_params.difs_us == 50.0
 
 
 def test_unknown_scheme_carries_the_router_line():
@@ -430,8 +439,11 @@ def test_trace_rebuilt_from_records_gives_the_same_reports(config):
             assert (router.throughput_series(tr, st.station_id, sc.throughput_bin_ms)
                     == router.throughput_series(again, st.station_id, sc.throughput_bin_ms))
             period_us = (st.burst_on_ms + st.burst_off_ms) * 1000.0 or 10_000.0  # any flow will do
-            assert (router.burst_completion_times_ms(tr, st.station_id, period_us, 3)
-                    == router.burst_completion_times_ms(again, st.station_id, period_us, 3))
+            spec = mac.FlowSpec(st.station_id, "client_data", interval_us=period_us,
+                                frames_per_burst=3)
+            retry_limit = sc.mac_params.retry_limit
+            assert (router.burst_completion_times_ms(tr, spec, retry_limit)
+                    == router.burst_completion_times_ms(again, spec, retry_limit))
 
 
 CLIENT_START = """
@@ -469,6 +481,40 @@ def test_burst_completion_is_measured_from_the_burst_start():
     comps = scenario.run(sc).burst_completions_ms["c1"]
     # 20 frames at 54 Mbps take about 8 ms, not the 50 ms start on top
     assert len(comps) == 3 and all(5.0 < c < 20.0 for c in comps)  # at 50, 250, 450 ms
+
+
+def test_bursts_that_lost_frames_do_not_complete():
+    # with no retries, a backlogged neighbour makes every burst lose a
+    # frame; counting only deliveries would pair frames of two bursts
+    # and report completions of about 500 and 1000 ms
+    sc = scenario.parse_scenario("""
+duration_s = 5
+seed = 4
+
+[router]
+scheme = Baseline
+channels = 1
+
+[mac]
+retry_limit = 0
+
+[station web1]
+role = client
+channel = 1
+traffic = burst
+burst_bytes = 30000
+burst_on_ms = 250
+burst_off_ms = 250
+
+[station n1]
+role = neighbor_ap
+channel = 1
+traffic = backlogged
+""")
+    rep = scenario.run(sc)
+    stats = rep.traces[1].flow_stats["web1"]
+    assert (stats.delivered, stats.lost) == (164, 36)
+    assert rep.burst_completions_ms["web1"] == []
 
 
 def test_router_occupancy_mean_equals_occupancy_of_router_frames():
@@ -670,6 +716,37 @@ def test_a_kept_stage_is_not_changed_through_a_report_set(tmp_path):
 def test_sweep_rejects_unknown_variable():
     with pytest.raises(ConfigError):
         scenario.SweepSpec("antenna_color", (1,))
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("distance", math.nan, "sweep value nan for distance: not a finite number"),
+    ("distance", math.inf, "sweep value inf for distance: not a finite number"),
+    ("wall_material", "steel",
+     "sweep value 'steel' for wall_material: 'steel' is not a valid WallMaterial"),
+    ("inter_packet_delay", math.inf,
+     "sweep value inf for inter_packet_delay: not a finite number"),
+], ids=["distance_nan", "distance_inf", "wall_steel", "delay_inf"])
+def test_a_swept_value_takes_its_config_key_rule(variable, value, message):
+    # a value given in Python is read as the config key it stands for, as
+    # one given on the command line is
+    sc = scenario.load_scenario(scenario.bundled_config("temp_sensor_range.cfg"))
+    with pytest.raises(ConfigError) as exc:
+        scenario.apply_sweep_value(sc, variable, value)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("feet", [12, 12.0, 7.3])
+def test_a_swept_distance_is_the_config_distance(feet):
+    swept = scenario.apply_sweep_value(scenario.parse_scenario(MINIMAL), "distance", feet)
+    config = scenario.parse_scenario(MINIMAL.replace("distance_ft = 10", f"distance_ft = {feet}"))
+    assert swept.harvesters[0].distance_m == config.harvesters[0].distance_m
+
+
+@pytest.mark.parametrize("distance_m", [math.nan, math.inf])
+def test_a_non_finite_harvester_distance_is_rejected(distance_m):
+    conf = scenario.HarvesterConf("h1", distance_m=distance_m)
+    with pytest.raises(ConfigError, match="harvester 'h1': distance must be >= 0.01 m"):
+        conf.validate()
 
 
 def test_equal_share_rate_inferred_from_neighbor():
