@@ -745,7 +745,7 @@ def _read_sweep_value(variable: str, value):
     section, key, _, _ = _SWEEPS[variable]
     try:
         return _SECTION_KEYS[section][key](value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a value such as None
         raise ConfigError(f"sweep value {value!r} for {variable}: {exc}") from None
 
 

@@ -348,15 +348,18 @@ def _regime(name):
     elif name == "booted_near_cutoff":
         segs = hv.duty_envelope([(PowerDbm(-60.0), 0.3)] * 3, period_s=0.010)
         st = hv.HarvesterState(stored_j=e_cut * (1 + 1e-6), booted=True)
-    else:  # floor below sensitivity
+    elif name == "floor_below_sensitivity":
         segs = hv.duty_envelope([(PowerDbm(-30.0), 0.9)] * 3, period_s=0.010)
         st = hv.HarvesterState(stored_j=e_floor)
+    else:  # a load under the activation tolerance leaves the store at its ceiling
+        cfg = hv.HarvesterConfig(cfg.rectifier, cfg.storage, hv.SensorLoad(e_op_j=1e-25))
+        st = hv.HarvesterState(stored_j=e_act, booted=True)
     return cfg, segs, st
 
 
 @pytest.mark.parametrize("name", [
     "cold", "mid_charge", "boot_pending_across_edge", "booted_near_cutoff",
-    "floor_below_sensitivity",
+    "floor_below_sensitivity", "light_load_ceiling",
 ])
 def test_segment_walk_equals_public_stepping(name):
     cfg, segs, walked = _regime(name)
@@ -379,6 +382,7 @@ def test_segment_walk_equals_public_stepping(name):
         "boot_pending_across_edge": kinds == ["sensor_fire"],
         "booted_near_cutoff": kinds == ["brown_out"],
         "floor_below_sensitivity": walked.harvested_j == 0.0 and walked.stored_j == 0.0,
+        "light_load_ceiling": walked.curtailed_j > 0.0 and set(kinds) == {"sensor_fire"},
     }
     assert expect[name], (name, walked)
 

@@ -725,7 +725,8 @@ def test_sweep_rejects_unknown_variable():
      "sweep value 'steel' for wall_material: 'steel' is not a valid WallMaterial"),
     ("inter_packet_delay", math.inf,
      "sweep value inf for inter_packet_delay: not a finite number"),
-], ids=["distance_nan", "distance_inf", "wall_steel", "delay_inf"])
+    ("distance", None, "sweep value None for distance: float() argument must be"),
+], ids=["distance_nan", "distance_inf", "wall_steel", "delay_inf", "distance_none"])
 def test_a_swept_value_takes_its_config_key_rule(variable, value, message):
     # a value given in Python is read as the config key it stands for, as
     # one given on the command line is
