@@ -34,6 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the seed")
     run_p.add_argument("--duration", type=float, default=None, help="seconds")
     run_p.add_argument("--out-dir", default="out", help="report directory")
+    run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep one variable of a scenario")
     sweep_p.add_argument("cfg")
@@ -45,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=None, help="override base seed")
     sweep_p.add_argument("--duration", type=float, default=None)
     sweep_p.add_argument("--out-dir", default="out")
+    sweep_p.set_defaults(func=_cmd_sweep)
 
     fcc_p = sub.add_parser("fcc", help="check a transmit plan")
     fcc_p.add_argument("--n-ant", default="1")
@@ -52,11 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     fcc_p.add_argument("--total-dbm", default="30.0")
     fcc_p.add_argument("--correlated", action="store_true")
     fcc_p.add_argument("--efficiency", default="1.0")
+    fcc_p.set_defaults(func=_cmd_fcc)
 
     an_p = sub.add_parser("analyze", help="occupancy of a trace file")
     an_p.add_argument("trace")
     an_p.add_argument("--window", default=None, help="t0_us,t1_us")
     an_p.add_argument("--stations", default=None, help="comma-separated station ids")
+    an_p.set_defaults(func=_cmd_analyze)
     return p
 
 
@@ -139,15 +143,7 @@ def _cmd_analyze(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "fcc":
-            return _cmd_fcc(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        raise AssertionError(args.command)
+        return args.func(args)
     except TraceFormatError as exc:
         sys.stderr.write(f"trace error: {exc}\n")
         return EXIT_CONFIG

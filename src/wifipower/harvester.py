@@ -48,12 +48,12 @@ class RectifierCurve:
 
     Between anchors the output interpolates linearly in log10(watts)
     against dBm (a straight segment on the usual log-log benchmark
-    plot). Below `sensitivity` the output is exactly zero, and from it
-    on at least the first anchor's. Above the last anchor the
-    conversion efficiency is clamped at the last anchor's efficiency.
+    plot). The first anchor's input is the sensitivity: below it the
+    output is exactly zero, and at it the first anchor's. Above the last
+    anchor the conversion efficiency is clamped at the last anchor's
+    efficiency.
     """
 
-    sensitivity: PowerDbm
     anchors: tuple[tuple[float, float], ...]  # (p_in dBm, p_out watts)
 
     def __post_init__(self) -> None:
@@ -67,8 +67,6 @@ class RectifierCurve:
             raise ValueError("anchor outputs must be > 0 W")
         if any(b < a for a, b in zip(ys, ys[1:])):
             raise ValueError("anchor outputs must be non-decreasing")
-        if xs[0] < self.sensitivity.value:
-            raise ValueError("first anchor must sit at or above the sensitivity")
         for x, y in self.anchors:
             p_in_w = 10.0 ** (x / 10.0) * 1e-3
             if y > p_in_w:
@@ -81,11 +79,9 @@ class RectifierCurve:
     def output_w(self, p_in: PowerDbm) -> float:
         """DC output power in watts for the given incident RF power."""
         x = p_in.value
-        if x < self.sensitivity.value:
-            return 0.0
         xs, log_ys = self._xs, self._log_ys
         if x <= xs[0]:
-            return self.anchors[0][1]
+            return self.anchors[0][1] if x == xs[0] else 0.0
         if x >= xs[-1]:
             # constant-efficiency extrapolation past the last anchor
             return self._tail_eff * 10.0 ** (x / 10.0) * 1e-3
@@ -164,13 +160,11 @@ class HarvesterConfig:
 
 #: Battery-free rectifier: sensitivity -17.8 dBm; interior anchors fitted.
 BATTERY_FREE_RECTIFIER = RectifierCurve(
-    sensitivity=PowerDbm(-17.8),
     anchors=((-17.8, 0.8e-6), (-10.0, 20e-6), (0.0, 200e-6), (10.0, 3e-3)),
 )
 
 #: Battery-assisted rectifier: 1.5 dB better sensitivity.
 BATTERY_RECTIFIER = RectifierCurve(
-    sensitivity=PowerDbm(-19.3),
     anchors=((-19.3, 0.8e-6), (-10.0, 20e-6), (0.0, 200e-6), (10.0, 3e-3)),
 )
 
@@ -301,14 +295,14 @@ def step(
     if isinstance(cfg.storage, BatteryStore):
         _charge_battery(state, p_dc, dt, cfg)
     else:
-        _walk(state, cfg, [(dt, p_dc)], 0.0, dt, _store_levels(cfg.storage))
+        _walk(state, cfg, [(dt, p_dc)], 0.0, dt)
     return state
 
 
-def _store_levels(store: CapacitorStore) -> tuple[float, float, float]:
-    """Stored energy (e_floor, e_cut, e_act) at the floor (0 V), cutoff
-    and activation voltages."""
-    return 0.0, store.energy_j(store.v_cutoff), store.energy_j(store.v_activate)
+def _store_levels(store: CapacitorStore) -> tuple[float, float]:
+    """Stored energy (e_cut, e_act) at the cutoff and activation
+    voltages; the floor is empty, 0 J."""
+    return store.energy_j(store.v_cutoff), store.energy_j(store.v_activate)
 
 
 def _charge_battery(
@@ -349,13 +343,13 @@ def _charge_battery(
 
 def _fire(
     state: HarvesterState, t: float, e: float, booted: bool, cfg: HarvesterConfig,
-    levels: tuple[float, float, float],
+    e_cut: float,
 ) -> tuple[float, bool]:
     """Consume one operation's energy from a capacitor store holding
-    `e` joules; returns the store's new (e, booted)."""
+    `e` joules, with cutoff energy `e_cut`; returns the store's new
+    (e, booted)."""
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    e_floor, e_cut, _ = levels
-    new_e = max(e_floor, e - cfg.load.e_op_j)
+    new_e = max(0.0, e - cfg.load.e_op_j)
     state.consumed_j += e - new_e
     state.log(t, "sensor_fire", store.voltage(new_e))
     if booted and new_e < e_cut:
@@ -370,13 +364,11 @@ def _walk(
     pieces: Sequence[tuple[float, float]],
     offset: float,
     span_s: float,
-    levels: tuple[float, float, float],
 ) -> None:
     """The capacitor stepping rule: step the store `span_s` seconds
     through `pieces`, each (seconds, transfer watts) of constant input,
-    from `offset` seconds into them and wrapping round at their end;
-    `levels` are the store's `_store_levels`. The first piece is always
-    stepped, however short the span.
+    from `offset` seconds into them and wrapping round at their end.
+    The first piece is always stepped, however short the span.
 
     Each stretch heads for one level: activation while the input beats
     leakage, else the cutoff while booted and the floor after. One
@@ -390,7 +382,7 @@ def _walk(
     `booted` and a pending boot stay in locals for the whole walk.
     """
     store: CapacitorStore = cfg.storage  # type: ignore[assignment]
-    e_floor, e_cut, e_act = levels
+    e_cut, e_act = _store_levels(store)
     e_top = e_act - 1e-21
     leak = store.leakage_w
     t, e, booted, pending = state.t_s, state.stored_j, state.booted, state._pending_fire_t
@@ -423,7 +415,7 @@ def _walk(
                 if tau > 0:
                     gained = min(net * tau, e_act - e)
                     curtailed += max(0.0, net * tau - gained)
-                    e = max(e_floor, e + gained)
+                    e = max(0.0, e + gained)
                     harvested += p_in_w * tau
                     leaked += leak * tau
                     t += tau
@@ -431,15 +423,15 @@ def _walk(
                 if pending - t > 1e-15:
                     break  # boot still pending past this piece
                 pending = None
-                e, booted = _fire(state, t, e, booted, cfg, levels)
+                e, booted = _fire(state, t, e, booted, cfg, e_cut)
                 continue
 
             if net > 0:
                 target = e_act
             elif net < 0 and booted and e > e_cut:
                 target = e_cut
-            elif net < 0 and e > e_floor:
-                target = e_floor
+            elif net < 0 and e > 0.0:
+                target = 0.0
             else:
                 # Pinned at the floor, or no net input: whatever comes in
                 # leaks away (at net 0 the input is the leakage).
@@ -470,7 +462,7 @@ def _walk(
                 state.log(t, "boot", store.voltage(e))
                 pending = t + cfg.load.boot_time_s
             else:
-                e, booted = _fire(state, t, e, booted, cfg, levels)
+                e, booted = _fire(state, t, e, booted, cfg, e_cut)
             if at_ceiling and pending is None and e >= e_top:
                 # Pinned at the ceiling; surplus is curtailed.
                 curtailed += net * remaining
@@ -639,8 +631,7 @@ def run_envelope(
     run_max = list(accumulate(cum, max))
     suffix_max = list(accumulate(reversed(cum), max))[::-1]
 
-    levels = _store_levels(store)
-    e_floor, e_cut, e_act = levels
+    e_cut, e_act = _store_levels(store)
     eps = 1e-18
     e_op = cfg.load.e_op_j
     trains = d_period > 0 and e_act - e_op + c_min - c_max > e_cut + eps
@@ -657,7 +648,7 @@ def run_envelope(
         if phase or remaining < period or state._pending_fire_t is not None:
             # the train and the jump start at phase 0: walk to a boundary
             span = min(period - phase, remaining)
-            _walk(state, cfg, walk, phase, span, levels)
+            _walk(state, cfg, walk, phase, span)
             k, phase = (k + 1, 0.0) if span == period - phase else (k, phase + span)
             continue
         e = state.stored_j
@@ -701,7 +692,7 @@ def run_envelope(
                 if phase >= period:
                     k, phase = k + 1, phase - period
                 continue
-        low_bound = e_cut if state.booted else e_floor
+        low_bound = e_cut if state.booted else 0.0
         if e + c_min > low_bound + eps and e + c_max < e_act - eps:
             if d_period > 0:
                 room = (e_act - eps - c_max - e) / d_period
@@ -723,7 +714,7 @@ def run_envelope(
         # a periodic fixed point and can be replicated to the end.
         snap = (state.stored_j, state.booted, len(events))
         h0, l0, c0 = state.harvested_j, state.leaked_j, state.curtailed_j
-        _walk(state, cfg, walk, 0.0, period, levels)
+        _walk(state, cfg, walk, 0.0, period)
         k += 1
         if (state.stored_j, state.booted, len(events)) == snap:
             reps = int((end_t - k * period) / period)

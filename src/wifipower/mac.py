@@ -89,6 +89,9 @@ BEACON_SIZE_BYTES = 300
 BEACON_RATE_MBPS = 1.0
 BEACON_INTERVAL_US = 102_400.0
 
+#: Largest frame a flow sends, of any kind: data and power frames default to it.
+MAX_FRAME_BYTES = 1500
+
 
 @dataclass(frozen=True)
 class MacParams:
@@ -368,7 +371,7 @@ class FlowSpec:
 
     name: str
     kind: str  # frame kind
-    size_bytes: int = 1500
+    size_bytes: int = MAX_FRAME_BYTES
     rate_mbps: float = 54.0
     interval_us: Optional[float] = None
     start_us: float = 0.0
@@ -384,8 +387,9 @@ class FlowSpec:
             raise ConfigError(f"flow {self.name!r}: frames per burst must be >= 1")
         if self.gate_threshold is not None and self.gate_threshold < 1:
             raise ConfigError(f"flow {self.name!r}: gate threshold must be >= 1")
-        if self.kind in ("client_data", "neighbor_data") and self.size_bytes > 1500:
-            raise ConfigError(f"flow {self.name!r}: data frames are limited to 1500 bytes")
+        if self.size_bytes > MAX_FRAME_BYTES:
+            raise ConfigError(
+                f"flow {self.name!r}: frames are limited to {MAX_FRAME_BYTES} bytes")
         payload_airtime_us(self.size_bytes, self.rate_mbps)
 
 
@@ -401,23 +405,6 @@ def gate_admits(queue_depth: int, gate_threshold: Optional[int], frames: int = 1
     if room <= 0:
         return 0
     return frames if frames < room else room
-
-
-def cbr_flow_for_target(
-    name: str,
-    kind: str,
-    target_mbps: float,
-    size_bytes: int = 1500,
-    rate_mbps: float = 54.0,
-    start_us: float = 0.0,
-) -> FlowSpec:
-    """CBR flow whose offered load is `target_mbps` of payload bits."""
-    if target_mbps <= 0:
-        raise ConfigError("target rate must be > 0 Mbps")
-    return FlowSpec(
-        name=name, kind=kind, size_bytes=size_bytes, rate_mbps=rate_mbps,
-        interval_us=size_bytes * 8.0 / target_mbps, start_us=start_us,
-    )
 
 
 @dataclass(frozen=True)

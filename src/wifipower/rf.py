@@ -84,8 +84,6 @@ def fspl_db(d: Distance, f: Frequency) -> float:
     """
     if d.meters <= 0:
         raise ValueError(f"distance must be > 0 m, got {d.meters!r}")
-    if f.hz <= 0:
-        raise ValueError(f"frequency must be > 0 Hz, got {f.hz!r}")
     return _fspl_db(d.meters, f.hz)
 
 

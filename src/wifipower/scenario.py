@@ -70,7 +70,7 @@ class RouterConf:
     correlated: bool = False
     beamforming_efficiency: float = 1.0
     power_delay_us: float = 100.0
-    power_size_bytes: int = 1500
+    power_size_bytes: int = mac.MAX_FRAME_BYTES
     queue_threshold: int = 5
 
     def tx_plan(self) -> fcc.TxPlan:
@@ -106,8 +106,8 @@ class RouterConf:
         # checked under every scheme, Baseline and the ungated ones included
         if self.power_delay_us <= 0:
             raise ConfigError("inter-packet delay must be > 0 us")
-        if self.power_size_bytes < 1:
-            raise ConfigError("packet size must be >= 1 byte")
+        if not 1 <= self.power_size_bytes <= mac.MAX_FRAME_BYTES:
+            raise ConfigError(f"packet size must be 1-{mac.MAX_FRAME_BYTES} bytes")
         if self.queue_threshold < 1:
             raise ConfigError("queue threshold must be >= 1 frame")
         if self.equal_share_rate_mbps is not None:  # a rate of the rate set
@@ -156,7 +156,7 @@ class StationConf:
             raise ConfigError(
                 f"station {self.station_id!r}: start_ms applies to udp_cbr and burst traffic"
             )
-        mac.payload_airtime_us(1500, self.rate_mbps)
+        mac.payload_airtime_us(mac.MAX_FRAME_BYTES, self.rate_mbps)
 
 
 @dataclass
@@ -179,6 +179,8 @@ class HarvesterConf:
             raise ConfigError(
                 f"harvester {self.harvester_id!r}: distance must be >= {rf.MIN_RANGE_M} m"
             )
+        if not -math.inf < self.g_rx_dbi < math.inf:
+            raise ConfigError(f"harvester {self.harvester_id!r}: g_rx_dbi must be finite")
         if not self.channels:
             raise ConfigError(f"harvester {self.harvester_id!r}: needs at least one channel")
         for ch in self.channels:
@@ -572,21 +574,20 @@ def build_stations(sc: Scenario) -> tuple[list[mac.StationSpec], tuple[str, ...]
 def _traffic_flow(st: StationConf, via_router: bool) -> mac.FlowSpec:
     kind = "client_data" if via_router else "neighbor_data"
     name = st.station_id
-    if st.traffic == "udp_cbr":
-        return mac.cbr_flow_for_target(
-            name, kind, st.target_mbps, rate_mbps=st.rate_mbps, start_us=st.start_ms * 1000.0
+    if st.traffic == "udp_cbr":  # full frames carrying `target_mbps`
+        return mac.FlowSpec(
+            name=name, kind=kind, rate_mbps=st.rate_mbps, start_us=st.start_ms * 1000.0,
+            interval_us=mac.MAX_FRAME_BYTES * 8.0 / st.target_mbps,
         )
     if st.traffic == "backlogged":
         return mac.FlowSpec(name=name, kind=kind, rate_mbps=st.rate_mbps)
-    if st.traffic == "burst":
-        # the burst's bytes all queue at the start of its on-window
-        return mac.FlowSpec(
-            name=name, kind=kind, rate_mbps=st.rate_mbps,
-            frames_per_burst=max(1, math.ceil(st.burst_bytes / 1500)),
-            interval_us=(st.burst_on_ms + st.burst_off_ms) * 1000.0,
-            start_us=st.start_ms * 1000.0,
-        )
-    raise ConfigError(f"station {st.station_id!r} has no traffic")
+    # burst: the burst's bytes all queue at the start of its on-window
+    return mac.FlowSpec(
+        name=name, kind=kind, rate_mbps=st.rate_mbps,
+        frames_per_burst=max(1, math.ceil(st.burst_bytes / mac.MAX_FRAME_BYTES)),
+        interval_us=(st.burst_on_ms + st.burst_off_ms) * 1000.0,
+        start_us=st.start_ms * 1000.0,
+    )
 
 
 def occupancy_bins(

@@ -101,9 +101,13 @@ def test_bad_transmit_plan_exits_2(tmp_path, capsys, line, message):
     ("channels =", "router needs at least one channel"),
     ("channels = 6,3", "router channel 3 invalid"),
     ("power_delay_us = 0", "inter-packet delay must be > 0 us"),
-    ("power_size_bytes = 0", "packet size must be >= 1 byte"),
+    ("power_size_bytes = 0", "packet size must be 1-1500 bytes"),
+    # a power frame is no longer than a data frame
+    ("power_size_bytes = 1501", "packet size must be 1-1500 bytes"),
+    ("power_size_bytes = 1000000000", "packet size must be 1-1500 bytes"),
     ("queue_threshold = 0", "queue threshold must be >= 1 frame"),
-], ids=["no_channels", "bad_channel", "delay_zero", "size_zero", "threshold_zero"])
+], ids=["no_channels", "bad_channel", "delay_zero", "size_zero", "size_over_a_frame",
+        "size_huge", "threshold_zero"])
 def test_router_errors_carry_the_header_line(tmp_path, capsys, line, message):
     cfg = write_cfg(tmp_path, BASIC.replace("channels = 6", line))
     assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 2
@@ -400,9 +404,11 @@ channels = 6
     ("power_delay_us = 0", 2),
     ("power_delay_us = -1", 2),
     ("power_size_bytes = 0", 2),
+    ("power_size_bytes = 1501", 2),
     ("queue_threshold = 0", 2),
     ("", 0),
-], ids=["delay_zero", "delay_negative", "size_zero", "threshold_zero", "defaults"])
+], ids=["delay_zero", "delay_negative", "size_zero", "size_over_a_frame", "threshold_zero",
+        "defaults"])
 @pytest.mark.parametrize("scheme", router.SCHEME_NAMES)
 def test_power_settings_are_checked_under_every_scheme(tmp_path, capsys, scheme, line, code):
     # Baseline sends no power packets and the ungated schemes use no

@@ -174,10 +174,11 @@ def power_flow(draw, name):
 @st.composite
 def data_flow(draw, name):
     """A CBR unicast source, often starting in the middle of the window."""
-    return mac.cbr_flow_for_target(
-        name, draw(st.sampled_from(["client_data", "neighbor_data"])),
-        target_mbps=draw(st.sampled_from([0.5, 2.0, 8.0, 30.0])),
-        size_bytes=draw(st.sampled_from([200, 1500])),
+    kind = draw(st.sampled_from(["client_data", "neighbor_data"]))
+    target_mbps = draw(st.sampled_from([0.5, 2.0, 8.0, 30.0]))
+    size = draw(st.sampled_from([200, 1500]))
+    return mac.FlowSpec(
+        name, kind, size_bytes=size, interval_us=size * 8.0 / target_mbps,
         start_us=draw(st.sampled_from([0.0, 2500.0, 9000.5])),
     )
 

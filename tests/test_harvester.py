@@ -41,12 +41,25 @@ def test_rectifier_output_is_zero_below_the_sensitivity_and_a_first_anchor_from_
     # the battery-free converter's 300 mV cold start sits at the first
     # anchor, so no input the rectifier passes falls short of it;
     # `dbm=None` draws an input `ulps` steps from the sensitivity
-    x = ulps_from(curve.sensitivity.value, ulps) if dbm is None else dbm
+    x = ulps_from(curve.anchors[0][0], ulps) if dbm is None else dbm
     out = curve.output_w(PowerDbm(x))
-    if x < curve.sensitivity.value:
+    if x < curve.anchors[0][0]:
         assert out == 0.0
     else:
         assert out >= curve.anchors[0][1]
+
+
+@pytest.mark.parametrize("curve, sensitivity_dbm", [
+    (hv.BATTERY_FREE_RECTIFIER, -17.8),
+    (hv.BATTERY_RECTIFIER, -19.3),
+])
+def test_preset_rectifiers_start_at_their_hardware_sensitivity(curve, sensitivity_dbm):
+    # the measured sensitivities are hardware facts, held only as each
+    # preset's first anchor: dead one ulp below it, the anchor at it
+    assert curve.anchors[0][0] == sensitivity_dbm
+    below = math.nextafter(sensitivity_dbm, -math.inf)
+    assert curve.output_w(PowerDbm(below)) == 0.0
+    assert curve.output_w(PowerDbm(sensitivity_dbm)) == curve.anchors[0][1] > 0.0
 
 
 def test_rectifier_monotone_sweep():
@@ -68,13 +81,11 @@ def test_rectifier_efficiency_never_exceeds_one():
 
 def test_rectifier_rejects_bad_anchor_tables():
     with pytest.raises(ValueError):
-        hv.RectifierCurve(sensitivity=PowerDbm(-10.0), anchors=())
+        hv.RectifierCurve(anchors=())
     with pytest.raises(ValueError):
-        hv.RectifierCurve(
-            sensitivity=PowerDbm(-10.0), anchors=((-10.0, 2e-6), (-5.0, 1e-6))
-        )
+        hv.RectifierCurve(anchors=((-10.0, 2e-6), (-5.0, 1e-6)))
     with pytest.raises(ValueError):  # efficiency above one
-        hv.RectifierCurve(sensitivity=PowerDbm(-10.0), anchors=((-10.0, 2e-4),))
+        hv.RectifierCurve(anchors=((-10.0, 2e-4),))
 
 
 # -- cold start and stepping -------------------------------------------------
@@ -104,9 +115,7 @@ def test_step_charge_time_oracle():
     # after it)
     store = hv.TEMP_SENSOR_STORE
     cfg = hv.HarvesterConfig(
-        rectifier=hv.RectifierCurve(
-            sensitivity=PowerDbm(-10.0), anchors=((-10.0, 2 * store.leakage_w),)
-        ),
+        rectifier=hv.RectifierCurve(anchors=((-10.0, 2 * store.leakage_w),)),
         storage=store,
         load=hv.TEMP_SENSOR_LOAD,
     )
@@ -122,9 +131,7 @@ def test_boot_never_happens_below_leakage():
     # transfer permanently below leakage: the store cannot reach boot
     store = hv.TEMP_SENSOR_STORE
     cfg = hv.HarvesterConfig(
-        rectifier=hv.RectifierCurve(
-            sensitivity=PowerDbm(-10.0), anchors=((-10.0, 0.5 * store.leakage_w),)
-        ),
+        rectifier=hv.RectifierCurve(anchors=((-10.0, 0.5 * store.leakage_w),)),
         storage=store,
         load=hv.TEMP_SENSOR_LOAD,
     )
@@ -313,7 +320,7 @@ def test_run_envelope_from_mid_period_sees_the_first_brown_out():
     # leakage above the cutoff, so it browns out before the next "on"
     cfg = hv.battery_free_temp_sensor()
     segs = [(0.005, PowerDbm(-5.0)), (0.005, PowerDbm(-60.0))]
-    _, e_cut, _ = hv._store_levels(cfg.storage)
+    e_cut, _ = hv._store_levels(cfg.storage)
 
     def start():
         return hv.HarvesterState(
@@ -337,7 +344,7 @@ def _regime(name):
     envelope has 'on' segments above leakage and 'off' ones at zero."""
     cfg = hv.battery_free_temp_sensor()
     segs = hv.duty_envelope([(PowerDbm(-11.0), 0.3)] * 3, period_s=0.010)
-    e_floor, e_cut, e_act = hv._store_levels(cfg.storage)
+    e_cut, e_act = hv._store_levels(cfg.storage)
     if name == "cold":
         st = hv.new_state(cfg)
     elif name == "mid_charge":
@@ -350,7 +357,7 @@ def _regime(name):
         st = hv.HarvesterState(stored_j=e_cut * (1 + 1e-6), booted=True)
     elif name == "floor_below_sensitivity":
         segs = hv.duty_envelope([(PowerDbm(-30.0), 0.9)] * 3, period_s=0.010)
-        st = hv.HarvesterState(stored_j=e_floor)
+        st = hv.HarvesterState(stored_j=0.0)
     else:  # a load under the activation tolerance leaves the store at its ceiling
         cfg = hv.HarvesterConfig(cfg.rectifier, cfg.storage, hv.SensorLoad(e_op_j=1e-25))
         st = hv.HarvesterState(stored_j=e_act, booted=True)
@@ -366,7 +373,7 @@ def test_segment_walk_equals_public_stepping(name):
     _, _, ref = _regime(name)
     walk = [(dt, cfg.rectifier.output_w(p)) for dt, p in segs]
     period = sum(dt for dt, _ in segs)
-    hv._walk(walked, cfg, walk, walked.t_s % period, period, hv._store_levels(cfg.storage))
+    hv._walk(walked, cfg, walk, walked.t_s % period, period)
     left = period
     for dt, p in segs:  # the pieces _walk cuts from one period
         tau = min(dt, left)

@@ -424,9 +424,11 @@ def test_gate_monotone_in_depth():
 
 
 def test_oversized_data_flow_rejected_at_the_spec():
-    with pytest.raises(ConfigError, match="1500 bytes"):
-        mac.FlowSpec(name="f", kind="client_data", size_bytes=1501)
-    mac.FlowSpec(name="p", kind="power_broadcast", size_bytes=2000)
+    # one 1500-byte cap for every frame kind, power broadcasts included
+    for kind in ("client_data", "power_broadcast"):
+        with pytest.raises(ConfigError, match="1500 bytes"):
+            mac.FlowSpec(name="f", kind=kind, size_bytes=1501)
+        mac.FlowSpec(name="f", kind=kind, size_bytes=1500)
 
 
 def test_beacons_present_for_ap():
@@ -470,12 +472,14 @@ def contended_traces(seed: int) -> dict:
     stations = [
         ap("r1", 1, mac.FlowSpec(name="r1.power", kind="power_broadcast",
                                  interval_us=100.0, gate_threshold=5),
-           mac.cbr_flow_for_target("c1", "client_data", 6.0, rate_mbps=24.0)),
+           mac.FlowSpec(name="c1", kind="client_data", rate_mbps=24.0,
+                        interval_us=1500 * 8.0 / 6.0)),
         ap("n1", 1, mac.FlowSpec(name="n1", kind="neighbor_data",
                                  size_bytes=900, rate_mbps=5.5)),
         ap("n2", 11, mac.FlowSpec(name="n2", kind="neighbor_data",
                                   frames_per_burst=4, interval_us=20_000.0, rate_mbps=11.0)),
-        ap("n3", 11, mac.cbr_flow_for_target("n3", "neighbor_data", 3.0, rate_mbps=1.0)),
+        ap("n3", 11, mac.FlowSpec(name="n3", kind="neighbor_data", rate_mbps=1.0,
+                                  interval_us=1500 * 8.0 / 3.0)),
     ]
     return mac.run_mac(stations, duration_us=300_000.0, seed=seed)
 

@@ -55,7 +55,7 @@ def old_duty_envelope(channel_power, period_s=hv.ENVELOPE_PERIOD_S):
 def old_output_w(curve, p_in):
     """`RectifierCurve.output_w` with its anchor table rebuilt per call."""
     x = p_in.value
-    if x < curve.sensitivity.value:
+    if x < curve.anchors[0][0]:
         return 0.0
     xs = [a[0] for a in curve.anchors]
     ys = [a[1] for a in curve.anchors]

@@ -93,7 +93,7 @@ def test_gate_admission_monotone_under_client_load():
     # heavier client load leaves fewer admission slots for power packets
     admitted = []
     for target in (5.0, 15.0, 30.0, 54.0):
-        client = mac.cbr_flow_for_target("c", "client_data", target)
+        client = mac.FlowSpec(name="c", kind="client_data", interval_us=1500 * 8.0 / target)
         st = mac.StationSpec("r", 1, flows=(client, scheme_flow("PoWiFi")), is_ap=True)
         tr = mac.run_mac([st], duration_us=5e6, seed=2)[1]
         admitted.append(tr.flow_stats["r.power"].admitted)

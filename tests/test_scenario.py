@@ -750,6 +750,19 @@ def test_a_non_finite_harvester_distance_is_rejected(distance_m):
         conf.validate()
 
 
+@pytest.mark.parametrize("g_rx_dbi", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_receive_gain_is_rejected_before_the_run(g_rx_dbi):
+    # a config file cannot carry the value; a harvester set in Python can
+    sc = scenario.load_scenario(scenario.bundled_config("temp_sensor_range.cfg"))
+    sc.harvesters[0].g_rx_dbi = g_rx_dbi
+    name = sc.harvesters[0].harvester_id
+    message = f"harvester '{name}': g_rx_dbi must be finite"
+    with pytest.raises(ConfigError, match=message):
+        sc.validate()
+    with pytest.raises(ConfigError, match=message):
+        scenario.run(sc)
+
+
 def test_equal_share_rate_inferred_from_neighbor():
     cfg = """
 duration_s = 5
